@@ -10,15 +10,7 @@ enumeration oracle for validation, and a Monte-Carlo simulation harness.
 from .data import AnalysisFrame, DataError, Dataset, GroupSpec, RoleSpec, build_frame, load_csv, one_hot, role_spec_from_config
 from .learners import FittedModel, LearnerError, LearnerSpec, SuperLearnerConfig, fit_super_learner, fit_two_part
 from .nuisance import EstimandId, NuisanceCache, NuisanceLearners, NuisanceSet, fit_all
-from .estimators import (
-    GammaEstimate,
-    estimate,
-    estimate_gamma_adv,
-    estimate_gamma_dis,
-    estimate_gamma_direct,
-    estimate_gamma_mediator,
-    estimate_gamma_sequential,
-)
+from .estimators import GammaEstimate, estimate
 from .decomposition import (
     DecompositionConfig,
     DecompositionReport,

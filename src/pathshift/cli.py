@@ -294,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--data", help="CSV data file (overrides config)")
     p_dec.add_argument("--out", default=".", help="output directory")
     p_dec.add_argument("--seed", type=int, default=None)
-    p_dec.add_argument("--threads", type=int, default=os.cpu_count())
     p_dec.add_argument("--scale", choices=["difference", "geometric", "probability"], default=None)
     p_dec.add_argument("--decomposition", choices=["natural", "sequential", "both"], default=None)
     p_dec.add_argument("--delta", type=float, default=None)
@@ -318,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--fixture", help="discrete DGP JSON (defaults to the shipped toy)")
     p_or.add_argument("--mc-draws", type=int, default=1_000_000)
     p_or.add_argument("--seed", type=int, default=None)
-    p_or.add_argument("--threads", type=int, default=os.cpu_count())
     p_or.set_defaults(func=cmd_oracle_check)
 
     return parser

@@ -116,6 +116,8 @@ def contrast(a: GammaEstimate, b: GammaEstimate, label: str = "contrast", alpha:
     point = a.point - b.point
     eif = a.eif - b.eif
     se = float(np.sqrt(np.mean(eif**2) / a.n))
+    if not np.isfinite(se):
+        raise DecompositionError(f"component {label}: non-finite standard error {se} from the influence-function values")
     z = norm.ppf(1 - alpha / 2)
     ci = (point - z * se, point + z * se)
     if se > 0:

@@ -1,30 +1,41 @@
 """One-step corrected estimators of the counterfactual means, with EIF-based SEs.
 
-Each estimator averages a per-observation summand h(O_i) built from the
-fitted nuisances; the centered summand is the estimated influence function,
-whose empirical second moment yields the analytic variance. The summands:
+Every estimand is the g-formula functional of an outcome arm r0 and a mediator
+arm vector (r_1..r_K). Its nuisances form the chain of
+:meth:`EstimandId.chain`: levels j = 0..J with prefixes p_0 = b0 > p_1 > ...
+> p_J = 0 and arms t_0 = r0, t_1, ..., t_J. Level 0 is the outcome regression
+Q_0 = E[Y | M_1..b0, X, R=r0]; level j >= 1 integrates the run of blocks
+p_j+1..p_{j-1} (all at arm t_j) out of its parent,
+Q_j = E[Q_{j-1} | M_1..p_j, X, R=t_j], so Q_J depends on X only.
 
-  dis/adv   1(R=r)/P(R=r|X) * (Y - m_r(X)) + m_r(X)
-  direct    R/(1-pi) * (1-g_K)/g_K * (Y - mu_K) + (1-R)/(1-pi) * (mu_K - C) + C
-  mediator  (1-R)/(1-pi) * g_k/(1-g_k) * (1-g_{k-1})/g_{k-1} * (Y - mu_k)
-              + R/(1-pi) * (1-g_{k-1})/g_{k-1} * (mu_k - B_k)
-              + (1-R)/(1-pi) * (B_k - C) + C
-  (k = 1 uses the reduced form with pi in the denominators and C == B_1)
+The one-step summand is
 
-The sequential (cumulative) counterfactual mean for block k telescopes to the
-direct form computed on the first k blocks only, so it shares that code path.
+  h = Q_J + sum_{j=0..J} W_j (Q_{j-1} - Q_j),          Q_{-1} := Y,
+
+  W_j = 1(R=t_j) / P(R=t_J|X) * prod_{l>j, t_l != t_j} [o(p_{l-1}) / o(p_l)]^(+1 if t_l=1 else -1)
+
+with o(k) = g_k / (1 - g_k) the odds of g_k = P(R=1|M_1..k, X) and o(0)
+dropped. W_j is the density ratio of the target law of (X, M_1..p_j) to its
+law within R = t_j: by Bayes' rule each lower run at the other arm
+contributes the odds ratio of g at its ends, and the run ending at block 0
+contributes odds(pi)^(+-1), which turns 1/P(R=t_j|X) into 1/P(R=t_J|X). The
+weight is (1-R)/(1-pi) or R/pi for dis/adv, and reduces by hand to the direct,
+sequential and mediator summands (k = 1 and k >= 2) of the paper.
+
+The mean of h is the point estimate; the centered summand is the estimated
+influence function, whose empirical second moment yields the analytic
+variance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .data import AnalysisFrame
 from .nuisance import EstimandId, NuisanceSet
-
-K1_EQUIVALENCE_TOL = 1e-12
 
 
 class EstimationError(ValueError):
@@ -51,144 +62,54 @@ class GammaEstimate:
         return (self.point - z * self.se, self.point + z * self.se)
 
 
-def _require(condition: bool, what: str) -> None:
-    if not condition:
-        raise EstimationError(f"nuisance set is missing {what}")
+def _odds(g: np.ndarray, power: int) -> np.ndarray:
+    return g / (1.0 - g) if power > 0 else (1.0 - g) / g
 
 
-def _check_finite(weights: np.ndarray) -> None:
-    if not np.isfinite(weights).all():
-        raise EstimationError(
-            "non-finite inverse-probability weight; check the truncation level delta"
-        )
+def gamma_terms(y: np.ndarray, r: np.ndarray, q: NuisanceSet) -> Iterator[np.ndarray]:
+    """Per-observation pieces of the one-step summand, one at a time.
 
-
-def gamma_terms(estimand: EstimandId, y: np.ndarray, r: np.ndarray, q: NuisanceSet) -> dict[str, np.ndarray]:
-    """Per-observation pieces of the one-step summand, keyed by role.
-
-    The full summand is the elementwise sum of the returned vectors; exposing
-    the pieces lets tests assert the plug-in + correction decomposition.
+    Yields W_j (Q_{j-1} - Q_j) for j = 0..J, then the plug-in Q_J; the
+    summand is their elementwise sum.
     """
-    r = np.asarray(r, dtype=float)
-    y = np.asarray(y, dtype=float)
-    pi = q.pi
-    kind = estimand.kind
-
-    if kind in ("dis", "adv"):
-        _require(0 in q.mu, "the covariate-only outcome regression mu[0]")
-        m = q.mu[0]
-        arm = 1.0 if kind == "adv" else 0.0
+    chain = q.chain
+    arms = [arm for _, arm in chain]
+    if len(q.Q) != len(chain) or any(p and p not in q.g for p, _ in chain):
+        raise EstimationError(f"nuisance set is missing Q levels or g_k of the chain {chain}")
+    p_bottom = q.pi if arms[-1] == 1 else 1.0 - q.pi
+    prev = np.asarray(y, dtype=float)
+    for j, arm in enumerate(arms):
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = (r == arm) / (pi if arm == 1.0 else 1.0 - pi)
-        _check_finite(w)
-        return {"residual": w * (y - m), "c": m}
-
-    if kind in ("direct", "sequential"):
-        _require(bool(q.mu), "the outcome regression mu")
-        k = estimand.k if kind == "sequential" else max(q.mu)
-        _require(k in q.g and k in q.mu and q.C_mu is not None, f"g[{k}], mu[{k}] and C_mu")
-        g = q.g[k]
-        mu = q.mu[k]
-        c = q.C_mu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w_res = r / (1.0 - pi) * (1.0 - g) / g
-            w_aug = (1.0 - r) / (1.0 - pi)
-        _check_finite(w_res)
-        _check_finite(w_aug)
-        return {"residual": w_res * (y - mu), "augmentation": w_aug * (mu - c), "c": c}
-
-    if kind == "mediator":
-        k = estimand.k
-        _require(k in q.g and k in q.mu and k in q.B and k in q.C_B, f"g[{k}], mu[{k}], B[{k}], C_B[{k}]")
-        g_k = q.g[k]
-        mu = q.mu[k]
-        b = q.B[k]
-        c = q.C_B[k]
-        if k == 1:
-            # reduced form: g_0 == pi cancels one (1 - pi) factor
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w_res = (1.0 - r) / pi * g_k / (1.0 - g_k)
-                w_aug = r / pi
-            _check_finite(w_res)
-            _check_finite(w_aug)
-            return {"residual": w_res * (y - mu), "augmentation": w_aug * (mu - b), "c": b}
-        g_prev = q.g[k - 1]
-        return _mediator_general_terms(y, r, pi, g_prev, g_k, mu, b, c)
-
-    raise EstimationError(f"unknown estimand kind {kind!r}")
+            w = (r == arm) / p_bottom
+            for l in range(j + 1, len(chain)):
+                if arms[l] != arm:
+                    s = 1 if arms[l] == 1 else -1
+                    for p, power in ((chain[l - 1][0], s), (chain[l][0], -s)):
+                        if p:  # odds(pi) is already folded into 1/P(R=t_J|X)
+                            w *= _odds(q.g[p], power)
+        if not np.isfinite(w).all():
+            raise EstimationError("non-finite inverse-probability weight; check the truncation level delta")
+        term = prev - q.Q[j]
+        term *= w
+        yield term
+        prev = q.Q[j]
+    yield q.Q[-1]
 
 
-def _mediator_general_terms(y, r, pi, g_prev, g_k, mu, b, c) -> dict[str, np.ndarray]:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_k = g_k / (1.0 - g_k)
-        ratio_prev = (1.0 - g_prev) / g_prev
-        w_res = (1.0 - r) / (1.0 - pi) * ratio_k * ratio_prev
-        w_aug1 = r / (1.0 - pi) * ratio_prev
-        w_aug2 = (1.0 - r) / (1.0 - pi)
-    _check_finite(w_res)
-    _check_finite(w_aug1)
-    _check_finite(w_aug2)
-    return {
-        "residual": w_res * (y - mu),
-        "augmentation": w_aug1 * (mu - b),
-        "centering_augmentation": w_aug2 * (b - c),
-        "c": c,
-    }
-
-
-def gamma_summands(estimand: EstimandId, y: np.ndarray, r: np.ndarray, q: NuisanceSet) -> np.ndarray:
+def gamma_summands(y: np.ndarray, r: np.ndarray, q: NuisanceSet) -> np.ndarray:
     """Uncentered one-step summand h(O_i); its mean is the point estimate."""
-    terms = gamma_terms(estimand, y, r, q)
-    total = np.zeros_like(np.asarray(y, dtype=float))
-    for vec in terms.values():
-        total = total + vec
-    if estimand.kind == "mediator" and estimand.k == 1:
-        # the reduced k=1 form must agree with the general formula under the
-        # structural identities g_0 == pi and C_B1 == B_1
-        general = _mediator_general_terms(
-            np.asarray(y, float), np.asarray(r, float), q.pi, q.pi, q.g[1], q.mu[1], q.B[1], q.C_B[1]
-        )
-        total_general = sum(general.values())
-        scale = max(1.0, float(np.max(np.abs(total))))
-        if not np.allclose(total, total_general, rtol=K1_EQUIVALENCE_TOL, atol=K1_EQUIVALENCE_TOL * scale):
-            raise EstimationError("k=1 specialized and general influence formulas disagree")
+    terms = gamma_terms(y, r, q)
+    total = next(terms)
+    for term in terms:
+        total += term
     return total
-
-
-def _estimate(frame: AnalysisFrame, q: NuisanceSet, estimand: EstimandId) -> GammaEstimate:
-    if q.pi.shape[0] != frame.n:
-        raise EstimationError("nuisance predictions do not match the frame")
-    h = gamma_summands(estimand, frame.y, frame.r, q)
-    point = float(np.mean(h))
-    return GammaEstimate(estimand=estimand, point=point, eif=h - point, n=frame.n)
-
-
-def estimate_gamma_dis(frame: AnalysisFrame, q: NuisanceSet) -> GammaEstimate:
-    """AIPW mean of the reference (R=0) group standardized over pooled X."""
-    return _estimate(frame, q, EstimandId.dis())
-
-
-def estimate_gamma_adv(frame: AnalysisFrame, q: NuisanceSet) -> GammaEstimate:
-    return _estimate(frame, q, EstimandId.adv())
-
-
-def estimate_gamma_direct(frame: AnalysisFrame, q: NuisanceSet) -> GammaEstimate:
-    return _estimate(frame, q, EstimandId.direct())
-
-
-def estimate_gamma_mediator(frame: AnalysisFrame, q: NuisanceSet, k: int) -> GammaEstimate:
-    return _estimate(frame, q, EstimandId.mediator(k))
-
-
-def estimate_gamma_sequential(frame: AnalysisFrame, q: NuisanceSet, k: int) -> GammaEstimate:
-    """Cumulative counterfactual mean: blocks 1..k at the reference arm.
-
-    For k = K this is definitionally the direct-effect estimand and the
-    computation is the identical code path (hence bitwise-equal results).
-    """
-    return _estimate(frame, q, EstimandId.sequential(k))
 
 
 def estimate(frame: AnalysisFrame, q: NuisanceSet) -> GammaEstimate:
     """Estimate the estimand recorded in the nuisance set."""
-    return _estimate(frame, q, q.estimand)
+    if q.pi.shape[0] != frame.n:
+        raise EstimationError("nuisance predictions do not match the frame")
+    h = gamma_summands(frame.y, frame.r, q)
+    point = float(np.mean(h))
+    h -= point
+    return GammaEstimate(estimand=q.estimand, point=point, eif=h, n=frame.n)

@@ -1,12 +1,16 @@
 """Nuisance fitting for the one-step estimators.
 
-For an estimand the pipeline needs some subset of: the propensity score
-pi(X) = P(R=1|X), the sequential binary regressions g_k = P(R=1|M_1..k, X),
-the outcome regressions mu_k fit in the stratum R = r0 and evaluated on all
-rows, and the pseudo-outcome regressions B_k (mu_k regressed on the previous
-blocks within R = r_k) and C (regressed on X alone within R = r1). Fits are
-optionally cross-fit over V folds stratified by R, and all probability-type
-predictions are truncated into [delta, 1 - delta].
+Every estimand is the g-formula functional of an outcome arm r0 and a
+mediator arm vector (r_1..r_K), fit as a chain of sequential regressions
+(:meth:`EstimandId.chain`). Level 0 is the outcome regression
+E[Y | M_1..b0, X, R=r0], where b0 is the last block whose arm differs from
+r0; each further level regresses its parent onto a shorter block prefix
+within the arm of the blocks it integrates out, and the last one is a
+function of X alone. The weights also need the propensity score
+pi(X) = P(R=1|X) and the sequential binary regressions
+g_k = P(R=1|M_1..k, X) at each run boundary. Fits are optionally cross-fit
+over V folds stratified by R, and all probability-type predictions are
+truncated into [delta, 1 - delta].
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .learners import LearnerSpec, SuperLearnerConfig, fit_two_part, stratified_
 
 DEFAULT_DELTA = 0.01
 
-ESTIMAND_KINDS = ("dis", "adv", "direct", "mediator", "sequential")
+ESTIMAND_KINDS = ("dis", "adv", "direct", "mediator", "sequential", "shift")
 
 
 class NuisanceError(ValueError):
@@ -33,12 +37,14 @@ class NuisanceError(ValueError):
 class EstimandId:
     """Identifies a counterfactual-mean estimand and its implied arm vector.
 
-    ``kind`` is one of dis/adv/direct/mediator/sequential; ``k`` indexes the
-    mediator block for the last two kinds.
+    ``kind`` is one of dis/adv/direct/mediator/sequential, with ``k`` indexing
+    the mediator block for the last two; ``shift`` names any arm vector
+    directly through ``arms`` = (r0, r_1, ..., r_K).
     """
 
     kind: str
     k: int | None = None
+    arms: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ESTIMAND_KINDS:
@@ -48,6 +54,11 @@ class EstimandId:
                 raise NuisanceError(f"estimand {self.kind} needs a block index k >= 1")
         elif self.k is not None:
             raise NuisanceError(f"estimand {self.kind} takes no block index")
+        if self.kind == "shift":
+            if self.arms is None or len(self.arms) < 2 or set(self.arms) - {0, 1}:
+                raise NuisanceError("a shift estimand needs arms (r0, r_1, ..., r_K) in {0, 1}")
+        elif self.arms is not None:
+            raise NuisanceError(f"estimand {self.kind} takes no arm vector")
 
     @staticmethod
     def dis() -> "EstimandId":
@@ -69,17 +80,28 @@ class EstimandId:
     def sequential(k: int) -> "EstimandId":
         return EstimandId("sequential", k)
 
+    @staticmethod
+    def shift(r0: int, arms: tuple[int, ...]) -> "EstimandId":
+        """The outcome law at arm r0 with block k's law at arm ``arms[k-1]``."""
+        return EstimandId("shift", arms=(int(r0),) + tuple(int(a) for a in arms))
+
     def validate(self, n_blocks: int) -> None:
         if self.k is not None and self.k > n_blocks:
             raise NuisanceError(f"estimand block index {self.k} exceeds K={n_blocks}")
+        if self.arms is not None and len(self.arms) != n_blocks + 1:
+            raise NuisanceError(f"shift estimand has {len(self.arms) - 1} block arms, expected K={n_blocks}")
 
     @property
     def r0(self) -> int:
         """Arm of the outcome law."""
+        if self.kind == "shift":
+            return self.arms[0]
         return {"dis": 0, "adv": 1, "direct": 1, "mediator": 0, "sequential": 1}[self.kind]
 
     def mediator_arms(self, n_blocks: int) -> tuple[int, ...]:
         """Arm of each mediator block's conditional law."""
+        if self.kind == "shift":
+            return self.arms[1:]
         if self.kind == "dis":
             return (0,) * n_blocks
         if self.kind == "adv":
@@ -91,17 +113,32 @@ class EstimandId:
         # sequential: first k blocks at 0, the rest at 1
         return tuple(0 if j <= self.k else 1 for j in range(1, n_blocks + 1))
 
-    @property
-    def c_stratum(self) -> int | None:
-        """Group in which the final covariate-only regression is fit."""
-        if self.kind in ("dis", "adv"):
-            return None
-        if self.kind == "mediator":
-            return 1 if self.k == 1 else 0
-        return 0  # direct and sequential center in the R=0 stratum
+    def chain(self, n_blocks: int) -> tuple[tuple[int, int], ...]:
+        """The regression levels as (prefix, arm) pairs, outcome level first.
+
+        Level 0 is (b0, r0): the outcome regression on M_1..b0, where b0 is
+        the last block whose arm differs from r0 (blocks above it already
+        follow their law at r0). Blocks 1..b0 then split into maximal runs of
+        equal arm, from the top down; the run a..b at arm t adds the level
+        (a - 1, t), which regresses its parent onto M_1..a-1 and X within
+        R = t. The last level has prefix 0. Consecutive levels alternate arms.
+        """
+        self.validate(n_blocks)
+        arms = self.mediator_arms(n_blocks)
+        top = max((k for k in range(1, n_blocks + 1) if arms[k - 1] != self.r0), default=0)
+        levels = [(top, self.r0)]
+        k = top
+        while k > 0:
+            arm = arms[k - 1]
+            while k > 0 and arms[k - 1] == arm:
+                k -= 1
+            levels.append((k, arm))
+        return tuple(levels)
 
     @property
     def label(self) -> str:
+        if self.kind == "shift":
+            return f"gamma_shift_{self.arms[0]}_{''.join(map(str, self.arms[1:]))}"
         if self.kind in ("mediator", "sequential"):
             return f"gamma_{self.kind}_{self.k}"
         return f"gamma_{self.kind}"
@@ -117,28 +154,30 @@ class NuisanceLearners:
 
 @dataclass
 class NuisanceSet:
-    """Per-observation nuisance predictions needed by one estimand."""
+    """Per-observation nuisance predictions needed by one estimand.
+
+    ``Q`` holds one vector per level of ``estimand.chain(n_blocks)``, the
+    outcome regression first; ``g`` holds g_k for each run boundary k >= 1.
+    """
 
     estimand: EstimandId
+    n_blocks: int
     pi: np.ndarray
     g: dict[int, np.ndarray] = field(default_factory=dict)
-    mu: dict[int, np.ndarray] = field(default_factory=dict)
-    B: dict[int, np.ndarray] = field(default_factory=dict)
-    C_B: dict[int, np.ndarray] = field(default_factory=dict)
-    C_mu: np.ndarray | None = None
+    Q: list[np.ndarray] = field(default_factory=list)
     delta: float = DEFAULT_DELTA
     fold_assignment: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def chain(self) -> tuple[tuple[int, int], ...]:
+        return self.estimand.chain(self.n_blocks)
 
     def validate(self) -> None:
         n = self.pi.shape[0]
         vectors = [("pi", self.pi)]
         vectors += [(f"g[{k}]", v) for k, v in self.g.items()]
-        vectors += [(f"mu[{k}]", v) for k, v in self.mu.items()]
-        vectors += [(f"B[{k}]", v) for k, v in self.B.items()]
-        vectors += [(f"C_B[{k}]", v) for k, v in self.C_B.items()]
-        if self.C_mu is not None:
-            vectors.append(("C_mu", self.C_mu))
+        vectors += [(f"Q[{j}]", v) for j, v in enumerate(self.Q)]
         for name, vec in vectors:
             if vec.shape != (n,):
                 raise NuisanceError(f"nuisance {name} has wrong length")
@@ -155,12 +194,33 @@ def _seed_from(seed: int, key: tuple) -> int:
     return int.from_bytes(digest, "little") % (2**63)
 
 
+@dataclass
+class _Level:
+    """One fitted regression level of a chain, with its fold models.
+
+    ``top`` is b0 of the chain that owns the level: route names are the
+    level's label followed by it ("mu3", "B3", "C_B3").
+    """
+
+    key: tuple
+    label: str
+    top: int
+    prefix: int
+    models: list = field(default_factory=list)
+    oof: np.ndarray | None = None
+
+    @property
+    def name(self) -> str:
+        return f"{self.label}{self.top}"
+
+
 class NuisanceCache:
     """Memoized nuisance fits shared across the estimands of one analysis run.
 
     ``route`` optionally maps nuisance names ("pi", "g" or "g3", "mu", "B",
-    "C_B", "C_mu") to "false", replacing the covariate matrix with ``x_alt``
-    for that regression; used by the misspecification grid.
+    "C_B", "C_mu", or with the chain's b0 appended) to "false", replacing the
+    covariate matrix with ``x_alt`` for that regression; used by the
+    misspecification grid.
     """
 
     def __init__(
@@ -194,6 +254,14 @@ class NuisanceCache:
         self._store: dict = {}
         self.truncation_counts: dict[str, int] = {}
 
+    @property
+    def n_blocks(self) -> int:
+        return self.frame.n_blocks
+
+    @property
+    def fold_assignment(self) -> np.ndarray | None:
+        return self.fold_labels if self.n_folds > 1 else None
+
     # -- plumbing ----------------------------------------------------------
 
     def _splits(self):
@@ -211,6 +279,10 @@ class NuisanceCache:
         if self._variant(name) == "false":
             return self.x_alt
         return self.frame.x
+
+    def _features(self, name: str, prefix: int) -> np.ndarray:
+        x = self._covariates(name)
+        return np.hstack([self.frame.m_upto(prefix), x]) if prefix else x
 
     def _seed(self, key: tuple) -> int:
         return _seed_from(self.seed, key)
@@ -264,87 +336,77 @@ class NuisanceCache:
             return train(self.learners.binary, feats, resp, "probability", seed, strata=resp)
         return train(self.learners.continuous, feats, resp, "continuous", seed)
 
-    def _regress(self, key, feats, pseudo_per_fold, stratum, outcome_model=False):
-        """Fold-wise stratum regression of a (possibly fold-specific) pseudo-outcome.
+    def _fit(self, level: _Level, stratum: int, parent: _Level | None) -> _Level:
+        """Fold-wise regression within R = stratum onto M_1..prefix and X.
 
-        Returns {"oof": out-of-fold predictions on all rows,
-                 "train": per-fold predictions on that fold's training rows}.
+        The response is Y for the outcome level. Otherwise it is the parent
+        level's prediction on the fold's training rows, made only now that a
+        child reads it; with one fold those rows are all rows, so the parent's
+        out-of-fold vector is reused, and fold models need not be kept.
         """
-        n = self.frame.n
-        r = self.frame.r
-        oof = np.empty(n)
-        per_train: list[np.ndarray] = []
+        level.oof = np.empty(self.frame.n)
+        feats = self._features(level.name, level.prefix)
+        if parent is not None and self.n_folds > 1:
+            parent_feats = self._features(parent.name, parent.prefix)
         for idx, (train_mask, test_mask) in enumerate(self._splits()):
-            pseudo = pseudo_per_fold[idx]
-            rows = train_mask & (r == stratum)
+            rows = train_mask & (self.frame.r == stratum)
             if not rows.any():
                 raise NuisanceError(f"empty stratum R={stratum} in a training split")
-            seed = self._seed(key + (idx,))
-            if outcome_model:
-                model = self._outcome_model(feats[rows], pseudo[rows], seed)
+            seed = self._seed(level.key + (idx,))
+            if parent is None:
+                model = self._outcome_model(feats[rows], self.frame.y[rows], seed)
             else:
-                model = train(self.learners.continuous, feats[rows], pseudo[rows], "continuous", seed)
-            oof[test_mask] = model.predict(feats[test_mask])
-            per_train.append(model.predict(feats[train_mask]))
-        return {"oof": oof, "train": per_train}
+                if self.n_folds == 1:
+                    resp = parent.oof[rows]
+                else:
+                    resp = parent.models[idx].predict(parent_feats[rows])
+                model = train(self.learners.continuous, feats[rows], resp, "continuous", seed)
+            level.oof[test_mask] = model.predict(feats[test_mask])
+            if self.n_folds > 1:
+                level.models.append(model)
+        return level
 
-    def mu(self, k: int, r0: int) -> np.ndarray:
-        return self._mu_entry(k, r0)["oof"]
-
-    def _mu_entry(self, k: int, r0: int) -> dict:
-        name = f"mu{k}"
-        key = ("mu", k, r0, self._variant(name))
+    def _mu_entry(self, k: int, r0: int) -> _Level:
+        """Outcome level E[Y | M_1..k, X, R=r0]."""
+        key = ("mu", k, r0, self._variant(f"mu{k}"))
         if key not in self._store:
-            feats = np.hstack([self.frame.m_upto(k), self._covariates(name)])
-            y = self.frame.y
-            pseudo_per_fold = [y for _ in range(self.n_folds)]
-            self._store[key] = self._regress(key, feats, pseudo_per_fold, r0, outcome_model=True)
+            self._store[key] = self._fit(_Level(key, "mu", k, k), r0, None)
         return self._store[key]
 
-    def B(self, k: int, r0: int, rk: int) -> np.ndarray:
-        return self._B_entry(k, r0, rk)["oof"]
-
-    def _B_entry(self, k: int, r0: int, rk: int) -> dict:
-        name = f"B{k}"
-        key = ("B", k, r0, rk, self._variant(f"mu{k}"), self._variant(name))
+    def _regress(self, label: str, parent: _Level, prefix: int, stratum: int) -> _Level:
+        """Regression of a parent level onto M_1..prefix and X within R = stratum."""
+        key = (label, prefix, stratum, self._variant(f"{label}{parent.top}"), parent.key)
         if key not in self._store:
-            mu_entry = self._mu_entry(k, r0)
-            feats = np.hstack([self.frame.m_upto(k - 1), self._covariates(name)])
-            pseudo_per_fold = []
-            for idx, (train_mask, _) in enumerate(self._splits()):
-                pseudo = np.zeros(self.frame.n)
-                pseudo[train_mask] = mu_entry["train"][idx]
-                pseudo_per_fold.append(pseudo)
-            self._store[key] = self._regress(key, feats, pseudo_per_fold, rk)
+            self._store[key] = self._fit(_Level(key, label, parent.top, prefix), stratum, parent)
         return self._store[key]
 
-    def C_B(self, k: int, r0: int, rk: int, r1: int) -> np.ndarray:
-        name = f"C_B{k}"
-        key = ("C_B", k, r0, rk, r1, self._variant(f"mu{k}"), self._variant(f"B{k}"), self._variant(name))
-        if key not in self._store:
-            b_entry = self._B_entry(k, r0, rk)
-            feats = self._covariates(name)
-            pseudo_per_fold = []
-            for idx, (train_mask, _) in enumerate(self._splits()):
-                pseudo = np.zeros(self.frame.n)
-                pseudo[train_mask] = b_entry["train"][idx]
-                pseudo_per_fold.append(pseudo)
-            self._store[key] = self._regress(key, feats, pseudo_per_fold, r1)["oof"]
-        return self._store[key]
+    # The three kinds of pseudo-outcome level keep their own method names, so
+    # that a profiler or tracer can time each kind apart.
 
-    def C_mu(self, k: int, r0: int, r1: int) -> np.ndarray:
-        name = f"C_mu{k}"
-        key = ("C_mu", k, r0, r1, self._variant(f"mu{k}"), self._variant(name))
-        if key not in self._store:
-            mu_entry = self._mu_entry(k, r0)
-            feats = self._covariates(name)
-            pseudo_per_fold = []
-            for idx, (train_mask, _) in enumerate(self._splits()):
-                pseudo = np.zeros(self.frame.n)
-                pseudo[train_mask] = mu_entry["train"][idx]
-                pseudo_per_fold.append(pseudo)
-            self._store[key] = self._regress(key, feats, pseudo_per_fold, r1)["oof"]
-        return self._store[key]
+    def _B_entry(self, parent: _Level, prefix: int, stratum: int) -> _Level:
+        return self._regress("B", parent, prefix, stratum)
+
+    def C_mu(self, parent: _Level, stratum: int) -> _Level:
+        return self._regress("C_mu", parent, 0, stratum)
+
+    def C_B(self, parent: _Level, stratum: int) -> _Level:
+        return self._regress("C_B", parent, 0, stratum)
+
+    # -- the provider interface that fit_all walks -----------------------------
+
+    def level(self, parent: _Level | None, prefix: int, stratum: int) -> _Level:
+        """The chain level onto M_1..prefix within R = stratum: the outcome
+        regression when there is no parent, else a regression of the parent."""
+        if parent is None:
+            return self._mu_entry(prefix, stratum)
+        if prefix:
+            return self._B_entry(parent, prefix, stratum)
+        if parent.label == "mu":
+            return self.C_mu(parent, stratum)
+        return self.C_B(parent, stratum)
+
+    def rows(self, level: _Level) -> np.ndarray:
+        return level.oof
 
     def diagnostics(self) -> dict:
         out = {"truncation_counts": dict(self.truncation_counts), "delta": self.delta}
@@ -361,80 +423,52 @@ class NuisanceCache:
         return out
 
 
+class ExactProvider:
+    """Base of the exact-nuisance providers that the oracles hand to
+    :func:`fit_all`: nothing is fit, truncated or cross-fit."""
+
+    delta = 0.0
+    fold_assignment = None
+
+    def diagnostics(self) -> dict:
+        return {}
+
+
 def fit_all(
-    frame: AnalysisFrame,
+    frame: AnalysisFrame | None,
     estimand: EstimandId,
     learners: NuisanceLearners | None = None,
     delta: float = DEFAULT_DELTA,
     folds: int | None = None,
     seed: int = 0,
-    cache: NuisanceCache | None = None,
+    cache=None,
 ) -> NuisanceSet:
-    """Fit every nuisance the estimand needs; reuses ``cache`` when given.
+    """Walk the estimand's chain and collect every nuisance it needs.
 
-    Structural identities are built in: g_0 is never fit (the propensity
-    score plays its role) and for k = 1 the C regression is the B regression.
+    ``cache`` is the provider of the nuisances: a :class:`NuisanceCache` (built
+    from ``frame`` and the fit settings when omitted), or an exact-nuisance
+    oracle with the same ``pi``/``g``/``level``/``rows`` methods, in which case
+    ``frame`` may be None. g_0 is never asked for: the propensity score plays
+    its role.
     """
     if cache is None:
         cache = NuisanceCache(frame, learners, delta, folds, seed)
-    K = frame.n_blocks
-    estimand.validate(K)
-
+    K = cache.n_blocks
+    chain = estimand.chain(K)
+    pi = cache.pi()
+    g = {prefix: cache.g(prefix) for prefix, _ in chain if prefix}
+    levels = []
+    for prefix, arm in chain:
+        levels.append(cache.level(levels[-1] if levels else None, prefix, arm))
     q = NuisanceSet(
         estimand=estimand,
-        pi=cache.pi(),
+        n_blocks=K,
+        pi=pi,
+        g=g,
+        Q=[cache.rows(level) for level in levels],
         delta=cache.delta,
-        fold_assignment=cache.fold_labels if cache.n_folds > 1 else None,
+        fold_assignment=cache.fold_assignment,
+        diagnostics=cache.diagnostics(),
     )
-    kind = estimand.kind
-    if kind in ("dis", "adv"):
-        q.mu[0] = cache.mu(0, estimand.r0)
-    elif kind == "direct":
-        q.g[K] = cache.g(K)
-        q.mu[K] = cache.mu(K, 1)
-        q.C_mu = cache.C_mu(K, 1, 0)
-    elif kind == "sequential":
-        k = estimand.k
-        q.g[k] = cache.g(k)
-        q.mu[k] = cache.mu(k, 1)
-        q.C_mu = cache.C_mu(k, 1, 0)
-    elif kind == "mediator":
-        k = estimand.k
-        q.g[k] = cache.g(k)
-        if k >= 2:
-            q.g[k - 1] = cache.g(k - 1)
-        q.mu[k] = cache.mu(k, 0)
-        q.B[k] = cache.B(k, 0, 1)
-        q.C_B[k] = q.B[k] if k == 1 else cache.C_B(k, 0, 1, estimand.c_stratum)
-    q.diagnostics = cache.diagnostics()
     q.validate()
     return q
-
-
-# Thin operation wrappers over the cache, for direct use and tests.
-
-def fit_propensity(frame, learner=None, delta=DEFAULT_DELTA, folds=None, seed=0) -> np.ndarray:
-    cache = NuisanceCache(frame, NuisanceLearners(binary=learner or LearnerSpec("logistic")), delta, folds, seed)
-    return cache.pi()
-
-
-def fit_g(frame, k, learner=None, delta=DEFAULT_DELTA, folds=None, seed=0) -> np.ndarray:
-    cache = NuisanceCache(frame, NuisanceLearners(binary=learner or LearnerSpec("logistic")), delta, folds, seed)
-    return cache.g(k)
-
-
-def fit_mu(frame, k, learners=None, r0=0, folds=None, seed=0) -> np.ndarray:
-    cache = NuisanceCache(frame, learners, DEFAULT_DELTA, folds, seed)
-    return cache.mu(k, r0)
-
-
-def fit_B(frame, k, learners=None, r0=0, rk=1, folds=None, seed=0) -> np.ndarray:
-    cache = NuisanceCache(frame, learners, DEFAULT_DELTA, folds, seed)
-    return cache.B(k, r0, rk)
-
-
-def fit_C(frame, k, learners=None, r0=0, rk=1, r1=0, against_mu=False, folds=None, seed=0) -> np.ndarray:
-    cache = NuisanceCache(frame, learners, DEFAULT_DELTA, folds, seed)
-    if against_mu:
-        return cache.C_mu(k, r0, r1)
-    return cache.C_B(k, r0, rk, r1)

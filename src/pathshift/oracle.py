@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AnalysisFrame
-from .nuisance import EstimandId, NuisanceSet
+from .nuisance import EstimandId, ExactProvider, NuisanceSet, fit_all
 
 MAX_STATES = 10**7
 TABLE_TOL = 1e-12
@@ -221,67 +221,43 @@ class ExactNuisances:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(t0 > 0, t1 / t0, np.nan)
 
+    def integrate(self, table: np.ndarray, prefix: int, arm: int) -> np.ndarray:
+        """Integrate blocks prefix+1.. out of a table over (x, m_1..m_k), each at
+        its law under the given arm: shape (sx, s_1..s_prefix)."""
+        for j in range(table.ndim - 1, prefix, -1):
+            table = (table * self.dgp.mediators[j - 1].table[:, arm]).sum(axis=j)
+        return table
+
     def mu_table(self, k: int, r0: int) -> np.ndarray:
         """E[Y | m_1..k, R=r0, x] integrating trailing blocks at arm r0."""
-        K = self.dgp.n_blocks
-        agg = self.dgp.ey_grid(r0)
-        for j in range(K, k, -1):
-            t = self.dgp.mediators[j - 1].table[:, r0]
-            t = t.reshape(t.shape + (1,) * (agg.ndim - t.ndim))
-            agg = (agg * t).sum(axis=j)
-        return agg
-
-    def B_table(self, k: int, r0: int, rk: int) -> np.ndarray:
-        """Integral of mu_k over m_k at arm rk: shape (sx, s_1..s_{k-1})."""
-        mu = self.mu_table(k, r0)
-        t = self.dgp.mediators[k - 1].table[:, rk]
-        return (mu * t).sum(axis=k)
-
-    def C_B_table(self, k: int, r0: int, rk: int, r1: int) -> np.ndarray:
-        """Integral of B_k over m_1..k-1 at arm r1: shape (sx,)."""
-        agg = self.B_table(k, r0, rk)
-        for j in range(k - 1, 0, -1):
-            t = self.dgp.mediators[j - 1].table[:, r1]
-            agg = (agg * t).sum(axis=j)
-        return agg
-
-    def C_mu_table(self, k: int, r0: int, r1: int) -> np.ndarray:
-        """Integral of mu_k over m_1..k at arm r1: shape (sx,)."""
-        agg = self.mu_table(k, r0)
-        for j in range(k, 0, -1):
-            t = self.dgp.mediators[j - 1].table[:, r1]
-            agg = (agg * t).sum(axis=j)
-        return agg
+        return self.integrate(self.dgp.ey_grid(r0), k, r0)
 
     def nuisance_set(self, states: "SampledStates", estimand: EstimandId) -> NuisanceSet:
         """Exact nuisance predictions for sampled rows, as the estimators expect them."""
-        dgp = self.dgp
-        estimand.validate(dgp.n_blocks)
-        xi = states.x_idx
-        mi = states.m_idx
-        K = dgp.n_blocks
+        return fit_all(None, estimand, cache=_ExactRows(self, states))
 
-        def lookup(table, depth):
-            return table[(xi,) + tuple(mi[j] for j in range(depth))]
 
-        q = NuisanceSet(estimand=estimand, pi=dgp.p_r1[xi], delta=0.0)
-        kind = estimand.kind
-        if kind in ("dis", "adv"):
-            q.mu[0] = self.C_mu_table(K, estimand.r0, estimand.r0)[xi]
-        elif kind in ("direct", "sequential"):
-            k = estimand.k if kind == "sequential" else K
-            q.g[k] = lookup(self.g_table(k), k)
-            q.mu[k] = lookup(self.mu_table(k, 1), k)
-            q.C_mu = self.C_mu_table(k, 1, 0)[xi]
-        else:
-            k = estimand.k
-            q.g[k] = lookup(self.g_table(k), k)
-            if k >= 2:
-                q.g[k - 1] = lookup(self.g_table(k - 1), k - 1)
-            q.mu[k] = lookup(self.mu_table(k, 0), k)
-            q.B[k] = lookup(self.B_table(k, 0, 1), k - 1)
-            q.C_B[k] = q.B[k] if k == 1 else self.C_B_table(k, 0, 1, estimand.c_stratum)[xi]
-        return q
+class _ExactRows(ExactProvider):
+    """Exact nuisance tables looked up at sampled rows; chain levels are tables."""
+
+    def __init__(self, exact: ExactNuisances, states: "SampledStates"):
+        self.exact = exact
+        self.states = states
+        self.n_blocks = exact.dgp.n_blocks
+
+    def rows(self, table: np.ndarray) -> np.ndarray:
+        return table[(self.states.x_idx,) + tuple(self.states.m_idx[: table.ndim - 1])]
+
+    def pi(self) -> np.ndarray:
+        return self.rows(self.exact.pi_table())
+
+    def g(self, k: int) -> np.ndarray:
+        return self.rows(self.exact.g_table(k))
+
+    def level(self, parent: np.ndarray | None, prefix: int, arm: int) -> np.ndarray:
+        if parent is None:
+            return self.exact.mu_table(prefix, arm)
+        return self.exact.integrate(parent, prefix, arm)
 
 
 def exact_nuisances(dgp: DiscreteDgp) -> ExactNuisances:
@@ -317,7 +293,7 @@ def one_step_population_value(dgp: DiscreteDgp, estimand: EstimandId) -> float:
     live = prob > 0
     states = SampledStates(x_idx=x_idx[live], m_idx=[m[live] for m in m_idx], y_idx=y_idx[live])
     q = exact_nuisances(dgp).nuisance_set(states, estimand)
-    h = gamma_summands(estimand, dgp.y_values[y_idx[live]], r_idx[live].astype(float), q)
+    h = gamma_summands(dgp.y_values[y_idx[live]], r_idx[live], q)
     return float(np.sum(prob[live] * h))
 
 

@@ -34,7 +34,7 @@ from scipy.special import expit, logit
 
 from .data import AnalysisFrame
 from .estimators import estimate, gamma_summands
-from .nuisance import EstimandId, NuisanceCache, NuisanceLearners, NuisanceSet, fit_all
+from .nuisance import EstimandId, ExactProvider, NuisanceCache, NuisanceLearners, NuisanceSet, fit_all
 from .learners import default_binary_sl, default_continuous_sl
 from . import oracle as oracle_mod
 
@@ -177,25 +177,10 @@ class Sim2Exact:
         out[pos] = 0.0
         return out + coef * self._fold_r(self.m_forms[j - 1], arm)
 
-    def mu_form(self, k: int, r0: int) -> np.ndarray:
-        form = self._fold_r(self.y_form, r0)
-        for j in range(4, k, -1):
-            form = self._fold_m(form, j, r0)
-        return form
-
-    def b_form(self, k: int, r0: int, rk: int) -> np.ndarray:
-        return self._fold_m(self.mu_form(k, r0), k, rk)
-
-    def c_form(self, k: int, r0: int, rk: int, r1: int) -> np.ndarray:
-        form = self.b_form(k, r0, rk)
-        for j in range(k - 1, 0, -1):
-            form = self._fold_m(form, j, r1)
-        return form
-
-    def c_mu_form(self, k: int, r0: int, r1: int) -> np.ndarray:
-        form = self.mu_form(k, r0)
-        for j in range(k, 0, -1):
-            form = self._fold_m(form, j, r1)
+    def fold_blocks(self, form: np.ndarray, prefix: int, arm: int) -> np.ndarray:
+        """Integrate m_{prefix+1}..m_4 out of a form, each at its law under the arm."""
+        for j in range(4, prefix, -1):
+            form = self._fold_m(form, j, arm)
         return form
 
     def gamma(self, estimand: EstimandId) -> float:
@@ -225,25 +210,31 @@ class Sim2Exact:
         return expit(lo)
 
     def nuisance_set(self, frame: AnalysisFrame, estimand: EstimandId) -> NuisanceSet:
-        basis = self._basis(frame)
-        q = NuisanceSet(estimand=estimand, pi=self.pi_vec(frame), delta=0.0)
-        kind = estimand.kind
-        if kind in ("dis", "adv"):
-            q.mu[0] = basis @ self.c_mu_form(4, estimand.r0, estimand.r0)
-        elif kind in ("direct", "sequential"):
-            k = estimand.k if kind == "sequential" else 4
-            q.g[k] = self.g_vec(frame, k)
-            q.mu[k] = basis @ self.mu_form(k, 1)
-            q.C_mu = basis @ self.c_mu_form(k, 1, 0)
-        else:
-            k = estimand.k
-            q.g[k] = self.g_vec(frame, k)
-            if k >= 2:
-                q.g[k - 1] = self.g_vec(frame, k - 1)
-            q.mu[k] = basis @ self.mu_form(k, 0)
-            q.B[k] = basis @ self.b_form(k, 0, 1)
-            q.C_B[k] = q.B[k] if k == 1 else basis @ self.c_form(k, 0, 1, estimand.c_stratum)
-        return q
+        return fit_all(frame, estimand, cache=_Sim2Rows(self, frame))
+
+
+class _Sim2Rows(ExactProvider):
+    """Exact sim2 nuisances on a frame's rows; chain levels are linear forms."""
+
+    n_blocks = 4
+
+    def __init__(self, exact: Sim2Exact, frame: AnalysisFrame):
+        self.exact = exact
+        self.frame = frame
+        self.basis = exact._basis(frame)
+
+    def rows(self, form: np.ndarray) -> np.ndarray:
+        return self.basis @ form
+
+    def pi(self) -> np.ndarray:
+        return self.exact.pi_vec(self.frame)
+
+    def g(self, k: int) -> np.ndarray:
+        return self.exact.g_vec(self.frame, k)
+
+    def level(self, parent: np.ndarray | None, prefix: int, arm: int) -> np.ndarray:
+        form = self.exact._fold_r(self.exact.y_form, arm) if parent is None else parent
+        return self.exact.fold_blocks(form, prefix, arm)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +554,8 @@ def robustness_conditions(estimand: EstimandId) -> tuple[MethodSpec, ...]:
         )
     if estimand.kind == "mediator" and estimand.k == 1:
         return (
-            cond("c1_pi_g", ("mu", "B")),
-            cond("c2_pi_mu", ("g", "B")),
+            cond("c1_pi_g", ("mu", "C_mu")),
+            cond("c2_pi_mu", ("g", "C_mu")),
             cond("c3_b_mu", ("pi", "g")),
         )
     if estimand.kind == "mediator":
@@ -671,7 +662,7 @@ def _run_one_rep(args):
             hbar = None
             if exact is not None:
                 q_true = exact.nuisance_set(frame, estimand)
-                hbar = float(np.mean(gamma_summands(estimand, frame.y, frame.r, q_true)))
+                hbar = float(np.mean(gamma_summands(frame.y, frame.r, q_true)))
             return est, hbar
 
         out = {}

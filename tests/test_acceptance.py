@@ -225,14 +225,13 @@ def test_criterion_6_structural_identities():
     seq4 = estimate(frame, fit_all(frame, EstimandId.sequential(4), cache=cache))
     bitwise = direct.point == seq4.point and np.array_equal(direct.eif, seq4.eif)
 
-    # k=1 reduced formula equals the general one (checked inside, plus here)
+    # the generic summand reduces to the closed-form k=1 mediator summand
     q1 = fit_all(frame, EstimandId.mediator(1), cache=cache)
-    h = gamma_summands(EstimandId.mediator(1), frame.y, frame.r, q1)
-    from pathshift.estimators import _mediator_general_terms
-
-    h_gen = sum(_mediator_general_terms(frame.y.astype(float), frame.r.astype(float),
-                                        q1.pi, q1.pi, q1.g[1], q1.mu[1], q1.B[1], q1.C_B[1]).values())
-    k1_ok = np.allclose(h, h_gen, rtol=1e-12, atol=1e-12 * max(1.0, float(np.abs(h).max())))
+    h = gamma_summands(frame.y, frame.r, q1)
+    r = frame.r.astype(float)
+    mu, b = q1.Q
+    h_closed = (1 - r) / q1.pi * q1.g[1] / (1 - q1.g[1]) * (frame.y - mu) + r / q1.pi * (mu - b) + b
+    k1_ok = np.allclose(h, h_closed, rtol=1e-12, atol=1e-12 * max(1.0, float(np.abs(h).max())))
 
     # centered EIF means vanish
     eif_ok = True

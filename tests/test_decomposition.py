@@ -42,6 +42,19 @@ def test_contrast_requires_matching_rows():
         contrast(a, b)
 
 
+def test_contrast_with_nan_influence_value_names_the_standard_error():
+    from dataclasses import replace
+
+    frame = generate(DgpSpec("sim2_misspec"), 400, seed=3)
+    cache = NuisanceCache(frame, seed=0)
+    a = estimate(frame, fit_all(frame, EstimandId.adv(), cache=cache))
+    b = estimate(frame, fit_all(frame, EstimandId.dis(), cache=cache))
+    eif = a.eif.copy()
+    eif[7] = np.nan
+    with pytest.raises(DecompositionError, match="non-finite standard error"):
+        contrast(replace(a, eif=eif), b, "total")
+
+
 def test_total_contrast_matches_enumeration_on_population():
     dgp = toy_dyadic_k2()
     frame, _ = population_frame(dgp, 2 * 4 * 8 * 8 * 8)

@@ -2,16 +2,7 @@ import numpy as np
 import pytest
 
 from pathshift.data import AnalysisFrame
-from pathshift.estimators import (
-    EstimationError,
-    _mediator_general_terms,
-    estimate,
-    estimate_gamma_adv,
-    estimate_gamma_dis,
-    estimate_gamma_direct,
-    gamma_summands,
-    gamma_terms,
-)
+from pathshift.estimators import EstimationError, estimate, gamma_summands, gamma_terms
 from pathshift.learners import LearnerSpec
 from pathshift.nuisance import EstimandId, NuisanceCache, NuisanceLearners, NuisanceSet, fit_all
 from pathshift.oracle import enumerate_gamma, exact_nuisances, population_frame, sample
@@ -33,40 +24,40 @@ def manual_frame(n=200, seed=0, y=None):
 
 def test_aipw_constant_outcome_is_exact():
     frame = manual_frame(100, y=np.full(100, 5.0))
-    for estimand, maker in [(EstimandId.dis(), estimate_gamma_dis), (EstimandId.adv(), estimate_gamma_adv)]:
-        q = NuisanceSet(estimand=estimand, pi=np.full(100, 0.37), mu={0: np.full(100, 5.0)}, delta=0.0)
-        est = maker(frame, q)
+    for estimand in [EstimandId.dis(), EstimandId.adv()]:
+        q = NuisanceSet(estimand=estimand, n_blocks=1, pi=np.full(100, 0.37), Q=[np.full(100, 5.0)], delta=0.0)
+        est = estimate(frame, q)
         assert est.point == pytest.approx(5.0, abs=1e-12)
         assert abs(est.eif.mean()) < 1e-12
 
 
 def test_aipw_reduces_to_horvitz_thompson_when_mu_zero():
     frame = manual_frame(500, seed=2)
-    q = NuisanceSet(estimand=EstimandId.dis(), pi=np.full(500, 0.5), mu={0: np.zeros(500)}, delta=0.0)
-    est = estimate_gamma_dis(frame, q)
+    q = NuisanceSet(estimand=EstimandId.dis(), n_blocks=1, pi=np.full(500, 0.5), Q=[np.zeros(500)], delta=0.0)
+    est = estimate(frame, q)
     ht = 2.0 / 500 * frame.y[frame.r == 0].sum()
     assert est.point == pytest.approx(ht, abs=1e-12)
 
 
 def test_missing_nuisance_raises():
     frame = manual_frame(50)
-    q = NuisanceSet(estimand=EstimandId.direct(), pi=np.full(50, 0.5), delta=0.0)
+    q = NuisanceSet(estimand=EstimandId.direct(), n_blocks=1, pi=np.full(50, 0.5), delta=0.0)
     with pytest.raises(EstimationError, match="missing"):
-        estimate_gamma_direct(frame, q)
+        estimate(frame, q)
 
 
 def test_nonfinite_weight_raises():
     frame = manual_frame(50)
     q = NuisanceSet(
         estimand=EstimandId.direct(),
+        n_blocks=1,
         pi=np.full(50, 1.0),  # 1/(1-pi) blows up
         g={1: np.full(50, 0.5)},
-        mu={1: np.zeros(50)},
-        C_mu=np.zeros(50),
+        Q=[np.zeros(50), np.zeros(50)],
         delta=0.0,
     )
     with pytest.raises(EstimationError, match="delta"):
-        estimate_gamma_direct(frame, q)
+        estimate(frame, q)
 
 
 # -- exact-nuisance estimation on discrete toys ----------------------------------
@@ -86,14 +77,17 @@ def test_exact_nuisance_estimates_hit_enumeration_within_3_se(builder):
 
 
 def test_population_plug_in_of_exact_C_matches_truth():
+    # population mean of the exact last regression level equals the functional
     dgp = toy_k2()
     ex = exact_nuisances(dgp)
-    # population mean of the exact centering regression equals the functional
-    assert abs(ex.C_mu_table(2, 1, 0) @ dgp.p_x - enumerate_gamma(dgp, EstimandId.direct())) < 1e-10
-    assert abs(ex.C_B_table(2, 0, 1, 0) @ dgp.p_x - enumerate_gamma(dgp, EstimandId.mediator(2))) < 1e-10
-    b1 = ex.B_table(1, 0, 1)  # for k=1 the centering regression is B itself, within R=1
-    pr1 = dgp.p_r1 * dgp.p_x
-    assert abs(b1 @ pr1 / pr1.sum() - enumerate_gamma(dgp, EstimandId.mediator(1))) > 0  # standardized over X, not R=1
+    estimands = [EstimandId.shift(r0, (a1, a2)) for r0 in (0, 1) for a1 in (0, 1) for a2 in (0, 1)]
+    for estimand in estimands + [EstimandId.direct(), EstimandId.mediator(1), EstimandId.mediator(2)]:
+        chain = estimand.chain(dgp.n_blocks)
+        table = ex.mu_table(*chain[0])
+        for prefix, arm in chain[1:]:
+            table = ex.integrate(table, prefix, arm)
+        assert table.shape == (dgp.sx,)
+        assert abs(table @ dgp.p_x - enumerate_gamma(dgp, estimand)) < 1e-10, estimand.label
 
 
 def test_saturated_fit_on_population_frame_equals_enumeration():
@@ -122,24 +116,72 @@ def test_point_equals_sum_of_term_means():
     cache = NuisanceCache(frame, seed=2)
     for estimand in [EstimandId.direct(), EstimandId.mediator(1), EstimandId.mediator(3)]:
         q = fit_all(frame, estimand, cache=cache)
-        terms = gamma_terms(estimand, frame.y, frame.r, q)
         est = estimate(frame, q)
-        assert est.point == pytest.approx(sum(float(np.mean(t)) for t in terms.values()), abs=1e-12)
+        terms = gamma_terms(frame.y, frame.r, q)
+        assert est.point == pytest.approx(sum(float(np.mean(t)) for t in terms), abs=1e-12)
 
 
-def test_k1_specialized_equals_general_formula():
+# Closed-form one-step summands of the named estimands, written out per kind;
+# the generic chain summand must reduce to each of them.
+
+def _summand_dis(y, r, pi, g, Q):
+    return (1 - r) / (1 - pi) * (y - Q[0]) + Q[0]
+
+
+def _summand_adv(y, r, pi, g, Q):
+    return r / pi * (y - Q[0]) + Q[0]
+
+
+def _summand_direct(k):
+    """Direct effect on K = k blocks, and the sequential mean of block k."""
+    def summand(y, r, pi, g, Q):
+        mu, c = Q
+        return r / (1 - pi) * (1 - g[k]) / g[k] * (y - mu) + (1 - r) / (1 - pi) * (mu - c) + c
+    return summand
+
+
+def _summand_mediator(k):
+    def summand(y, r, pi, g, Q):
+        if k == 1:  # reduced form: g_0 == pi cancels one (1 - pi) factor
+            mu, b = Q
+            return (1 - r) / pi * g[1] / (1 - g[1]) * (y - mu) + r / pi * (mu - b) + b
+        mu, b, c = Q
+        odds_k = g[k] / (1 - g[k])
+        inv_odds_prev = (1 - g[k - 1]) / g[k - 1]
+        return (
+            (1 - r) / (1 - pi) * odds_k * inv_odds_prev * (y - mu)
+            + r / (1 - pi) * inv_odds_prev * (mu - b)
+            + (1 - r) / (1 - pi) * (b - c)
+            + c
+        )
+    return summand
+
+
+CLOSED_FORMS = [  # on K = 3 blocks
+    (EstimandId.dis(), _summand_dis),
+    (EstimandId.adv(), _summand_adv),
+    (EstimandId.direct(), _summand_direct(3)),
+    (EstimandId.sequential(2), _summand_direct(2)),
+    (EstimandId.mediator(1), _summand_mediator(1)),
+    (EstimandId.mediator(2), _summand_mediator(2)),
+    (EstimandId.mediator(3), _summand_mediator(3)),
+]
+
+
+@pytest.mark.parametrize("estimand, reference", CLOSED_FORMS, ids=[e.label for e, _ in CLOSED_FORMS])
+def test_generic_summand_matches_closed_forms(estimand, reference):
     rng = np.random.default_rng(42)
     n = 1000
     y = rng.standard_normal(n)
     r = (rng.random(n) < 0.5).astype(float)
     pi = rng.uniform(0.2, 0.8, n)
-    g1 = rng.uniform(0.2, 0.8, n)
-    mu = rng.standard_normal(n)
-    b = rng.standard_normal(n)
-    q = NuisanceSet(estimand=EstimandId.mediator(1), pi=pi, g={1: g1}, mu={1: mu}, B={1: b}, C_B={1: b}, delta=0.0)
-    specialized = gamma_summands(EstimandId.mediator(1), y, r, q)  # internal assert also runs
-    general = sum(_mediator_general_terms(y, r, pi, pi, g1, mu, b, b).values())
-    assert np.allclose(specialized, general, rtol=1e-12, atol=1e-12 * np.abs(specialized).max())
+    chain = estimand.chain(3)
+    g = {p: rng.uniform(0.2, 0.8, n) for p, _ in chain if p}
+    Q = [rng.standard_normal(n) for _ in chain]
+    q = NuisanceSet(estimand=estimand, n_blocks=3, pi=pi, g=g, Q=Q, delta=0.0)
+    generic = gamma_summands(y, r, q)
+    closed = reference(y, r, pi, g, Q)
+    assert np.allclose(generic, closed, rtol=1e-12, atol=1e-12 * np.abs(closed).max())
 
 
 def test_sequential_K_bitwise_equals_direct():
@@ -156,21 +198,19 @@ def test_row_permutation_invariance():
     cache = NuisanceCache(frame, seed=4)
     estimand = EstimandId.mediator(2)
     q = fit_all(frame, estimand, cache=cache)
-    h = gamma_summands(estimand, frame.y, frame.r, q)
+    h = gamma_summands(frame.y, frame.r, q)
     perm = np.random.default_rng(0).permutation(frame.n)
-    h_perm = gamma_summands(estimand, frame.y[perm], frame.r[perm], _permute_q(q, perm))
+    h_perm = gamma_summands(frame.y[perm], frame.r[perm], _permute_q(q, perm))
     assert abs(h.mean() - h_perm.mean()) < 1e-12
 
 
 def _permute_q(q, perm):
     return NuisanceSet(
         estimand=q.estimand,
+        n_blocks=q.n_blocks,
         pi=q.pi[perm],
         g={k: v[perm] for k, v in q.g.items()},
-        mu={k: v[perm] for k, v in q.mu.items()},
-        B={k: v[perm] for k, v in q.B.items()},
-        C_B={k: v[perm] for k, v in q.C_B.items()},
-        C_mu=None if q.C_mu is None else q.C_mu[perm],
+        Q=[v[perm] for v in q.Q],
         delta=q.delta,
     )
 
@@ -236,13 +276,13 @@ def test_direct_estimator_constant_outcome_null_group():
     )
     q = NuisanceSet(
         estimand=EstimandId.direct(),
+        n_blocks=1,
         pi=np.full(n, 0.5),
         g={1: np.full(n, 0.5)},
-        mu={1: np.full(n, 7.0)},
-        C_mu=np.full(n, 7.0),
+        Q=[np.full(n, 7.0), np.full(n, 7.0)],
         delta=0.0,
     )
-    est = estimate_gamma_direct(frame, q)
+    est = estimate(frame, q)
     assert est.point == pytest.approx(7.0, abs=1e-12)
 
 

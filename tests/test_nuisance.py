@@ -3,17 +3,7 @@ import pytest
 
 from pathshift.data import AnalysisFrame
 from pathshift.learners import LearnerSpec
-from pathshift.nuisance import (
-    EstimandId,
-    NuisanceCache,
-    NuisanceError,
-    NuisanceLearners,
-    fit_all,
-    fit_B,
-    fit_g,
-    fit_mu,
-    fit_propensity,
-)
+from pathshift.nuisance import EstimandId, NuisanceCache, NuisanceError, NuisanceLearners, fit_all
 from pathshift.oracle import exact_nuisances, population_frame
 from pathshift.simulation import DgpSpec, Sim2Exact, generate
 from pathshift.toys import toy_dyadic_k2
@@ -27,18 +17,37 @@ def test_estimand_arm_vectors():
     assert EstimandId.dis().r0 == 0 and EstimandId.dis().mediator_arms(4) == (0, 0, 0, 0)
     assert EstimandId.adv().mediator_arms(3) == (1, 1, 1)
     direct = EstimandId.direct()
-    assert direct.r0 == 1 and direct.mediator_arms(4) == (0, 0, 0, 0) and direct.c_stratum == 0
+    assert direct.r0 == 1 and direct.mediator_arms(4) == (0, 0, 0, 0)
     m2 = EstimandId.mediator(2)
-    assert m2.r0 == 0 and m2.mediator_arms(4) == (0, 1, 0, 0) and m2.c_stratum == 0
-    assert EstimandId.mediator(1).c_stratum == 1
+    assert m2.r0 == 0 and m2.mediator_arms(4) == (0, 1, 0, 0)
     s2 = EstimandId.sequential(2)
-    assert s2.r0 == 1 and s2.mediator_arms(4) == (0, 0, 1, 1) and s2.c_stratum == 0
+    assert s2.r0 == 1 and s2.mediator_arms(4) == (0, 0, 1, 1)
+    shift = EstimandId.shift(1, (0, 1, 1, 0))
+    assert shift.r0 == 1 and shift.mediator_arms(4) == (0, 1, 1, 0) and shift.label == "gamma_shift_1_0110"
     with pytest.raises(NuisanceError):
         EstimandId("mediator")
     with pytest.raises(NuisanceError):
         EstimandId("dis", k=2)
     with pytest.raises(NuisanceError):
         EstimandId.mediator(5).validate(4)
+    with pytest.raises(NuisanceError):
+        EstimandId.shift(0, (0, 2))
+    with pytest.raises(NuisanceError):
+        EstimandId.shift(0, (0, 1)).validate(4)
+
+
+def test_chain_levels():
+    # (prefix, arm) per level, outcome regression first
+    assert EstimandId.dis().chain(4) == ((0, 0),)
+    assert EstimandId.adv().chain(4) == ((0, 1),)
+    assert EstimandId.direct().chain(4) == ((4, 1), (0, 0))
+    assert EstimandId.sequential(4).chain(4) == EstimandId.direct().chain(4)
+    assert EstimandId.sequential(2).chain(4) == ((2, 1), (0, 0))
+    assert EstimandId.mediator(1).chain(4) == ((1, 0), (0, 1))
+    assert EstimandId.mediator(3).chain(4) == ((3, 0), (2, 1), (0, 0))
+    # blocks above the last one off r0 fold into the outcome regression
+    assert EstimandId.shift(0, (1, 1, 0, 1, 0)).chain(5) == ((4, 0), (3, 1), (2, 0), (0, 1))
+    assert EstimandId.shift(1, (1, 1, 1)).chain(3) == EstimandId.adv().chain(3)
 
 
 def small_frame(n=400, seed=0):
@@ -55,7 +64,7 @@ def small_frame(n=400, seed=0):
 
 def test_propensity_marginal_when_r_independent():
     frame = small_frame(4000, seed=1)
-    pi = fit_propensity(frame)
+    pi = NuisanceCache(frame).pi()
     assert abs(pi.mean() - frame.r.mean()) < 0.02
     assert pi.std() < 0.05
 
@@ -65,14 +74,15 @@ def test_propensity_clipping_on_separable_group():
     x = np.repeat([[-1.0], [1.0]], 100, axis=0)
     r = (x[:, 0] > 0).astype(np.int8)
     frame = AnalysisFrame(x=x, r=r, m_blocks=(rng.standard_normal((200, 1)),), y=rng.standard_normal(200))
-    pi = fit_propensity(frame, delta=0.01)
+    pi = NuisanceCache(frame, delta=0.01).pi()
     assert set(np.round(np.unique(pi), 10)) == {0.01, 0.99}
 
 
 def test_g_close_to_pi_when_mediators_uninformative():
     frame = small_frame(4000, seed=3)
-    pi = fit_propensity(frame)
-    g1 = fit_g(frame, 1)
+    cache = NuisanceCache(frame)
+    pi = cache.pi()
+    g1 = cache.g(1)
     assert np.abs(g1 - pi).mean() < 0.03
 
 
@@ -86,14 +96,15 @@ def _auc(score, label):
 
 def test_g_more_informative_than_pi_on_sim2():
     frame = generate(DgpSpec("sim2_misspec"), 4000, seed=5)
-    pi = fit_propensity(frame)
-    g4 = fit_g(frame, 4)
+    cache = NuisanceCache(frame)
+    pi = cache.pi()
+    g4 = cache.g(4)
     assert _auc(g4, frame.r) >= _auc(pi, frame.r)
 
 
 def test_g_respects_truncation():
     frame = generate(DgpSpec("sim2_misspec"), 1000, seed=6)
-    g = fit_g(frame, 2, delta=0.05)
+    g = NuisanceCache(frame, delta=0.05).g(2)
     assert g.min() >= 0.05 and g.max() <= 0.95
 
 
@@ -102,14 +113,15 @@ def test_g_respects_truncation():
 def test_mu_constant_outcome():
     frame = small_frame(300, seed=7)
     const_frame = AnalysisFrame(x=frame.x, r=frame.r, m_blocks=frame.m_blocks, y=np.full(frame.n, 3.5))
-    mu = fit_mu(const_frame, 1, r0=0)
+    mu = NuisanceCache(const_frame).level(None, 1, 0).oof
     assert np.allclose(mu, 3.5, atol=1e-8)
 
 
 def test_B_of_constant_mu_is_constant():
     frame = small_frame(300, seed=8)
     const_frame = AnalysisFrame(x=frame.x, r=frame.r, m_blocks=frame.m_blocks, y=np.full(frame.n, -2.0))
-    b = fit_B(const_frame, 1, r0=0, rk=1)
+    cache = NuisanceCache(const_frame)
+    b = cache.level(cache.level(None, 2, 0), 1, 1).oof
     assert np.allclose(b, -2.0, atol=1e-8)
 
 
@@ -119,7 +131,7 @@ def test_two_part_outcome_model_used_on_log_positive_scale():
     frame0 = small_frame(n, seed=9)
     y = np.where(rng.random(n) < 0.3, 0.0, rng.standard_normal(n) + 2.0)
     frame = AnalysisFrame(x=frame0.x, r=frame0.r, m_blocks=frame0.m_blocks, y=y, scale_applied="log_positive")
-    mu = fit_mu(frame, 0, r0=0)
+    mu = NuisanceCache(frame).level(None, 0, 0).oof
     # composite prediction should track P(y != 0) * E[y | y != 0] within the stratum
     target = (y[frame.r == 0] != 0).mean() * y[frame.r == 0][y[frame.r == 0] != 0].mean()
     assert abs(mu.mean() - target) < 0.25
@@ -137,33 +149,34 @@ def test_saturated_nuisances_match_enumeration_tables():
     g2_exact = ex.g_table(2)[states.x_idx, states.m_idx[0], states.m_idx[1]]
     assert np.abs(cache.g(2) - g2_exact).max() < 1e-12
 
-    mu2_exact = ex.mu_table(2, r0=0)[states.x_idx, states.m_idx[0], states.m_idx[1]]
-    assert np.abs(cache.mu(2, 0) - mu2_exact).max() < 1e-12
-
-    b2_exact = ex.B_table(2, 0, 1)[states.x_idx, states.m_idx[0]]
-    assert np.abs(cache.B(2, 0, 1) - b2_exact).max() < 1e-12
-
-    c2_exact = ex.C_B_table(2, 0, 1, 0)[states.x_idx]
-    assert np.abs(cache.C_B(2, 0, 1, 0) - c2_exact).max() < 1e-12
-
-    cmu_exact = ex.C_mu_table(2, 1, 0)[states.x_idx]
-    assert np.abs(cache.C_mu(2, 1, 0) - cmu_exact).max() < 1e-12
+    # every regression level of every arm vector, against the exact tables
+    for r0 in (0, 1):
+        for arms in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            estimand = EstimandId.shift(r0, arms)
+            fitted = fit_all(frame, estimand, cache=cache)
+            exact = ex.nuisance_set(states, estimand)
+            for j, (q_fit, q_exact) in enumerate(zip(fitted.Q, exact.Q, strict=True)):
+                assert np.abs(q_fit - q_exact).max() < 1e-12, (estimand.label, j)
 
 
 def test_k1_C_is_B_structurally():
+    # for k = 1 the regression of mu_1 onto X within R=1 is the last level:
+    # no separate centering regression is fit
     frame = small_frame(300, seed=11)
-    q = fit_all(frame, EstimandId.mediator(1), seed=0)
-    assert q.C_B[1] is q.B[1]
+    cache = NuisanceCache(frame, seed=0)
+    q = fit_all(frame, EstimandId.mediator(1), cache=cache)
+    assert len(q.Q) == 2
+    assert q.Q[1] is cache.level(cache.level(None, 1, 0), 0, 1).oof
 
 
 def test_fit_all_requires_only_needed_nuisances():
     frame = small_frame(300, seed=12)
     q = fit_all(frame, EstimandId.dis(), seed=0)
-    assert 0 in q.mu and not q.g and q.C_mu is None
+    assert len(q.Q) == 1 and not q.g
     q2 = fit_all(frame, EstimandId.direct(), seed=0)
-    assert set(q2.g) == {2} and set(q2.mu) == {2} and q2.C_mu is not None
+    assert set(q2.g) == {2} and len(q2.Q) == 2
     q3 = fit_all(frame, EstimandId.mediator(2), seed=0)
-    assert set(q3.g) == {1, 2} and set(q3.B) == {2} and set(q3.C_B) == {2}
+    assert set(q3.g) == {1, 2} and len(q3.Q) == 3
 
 
 def test_single_fold_equals_no_crossfitting():
@@ -171,7 +184,7 @@ def test_single_fold_equals_no_crossfitting():
     q_none = fit_all(frame, EstimandId.mediator(2), seed=4, folds=None)
     q_one = fit_all(frame, EstimandId.mediator(2), seed=4, folds=1)
     assert np.array_equal(q_none.pi, q_one.pi)
-    assert np.array_equal(q_none.mu[2], q_one.mu[2])
+    assert all(np.array_equal(a, b) for a, b in zip(q_none.Q, q_one.Q, strict=True))
     assert q_none.fold_assignment is None and q_one.fold_assignment is None
 
 
@@ -180,7 +193,7 @@ def test_fit_all_deterministic_given_seed():
     a = fit_all(frame, EstimandId.mediator(1), seed=5, folds=3)
     b = fit_all(frame, EstimandId.mediator(1), seed=5, folds=3)
     assert np.array_equal(a.pi, b.pi)
-    assert np.array_equal(a.B[1], b.B[1])
+    assert all(np.array_equal(u, v) for u, v in zip(a.Q, b.Q, strict=True))
     assert np.array_equal(a.fold_assignment, b.fold_assignment)
 
 
@@ -189,7 +202,7 @@ def test_crossfit_runs_and_validates():
     q = fit_all(frame, EstimandId.mediator(2), seed=6, folds=5)
     q.validate()
     assert q.fold_assignment is not None
-    assert np.isfinite(q.B[2]).all()
+    assert all(np.isfinite(v).all() for v in q.Q)
 
 
 def test_single_class_training_split_errors():
@@ -257,6 +270,6 @@ def test_propensity_recovers_generating_logit_on_sim2():
 
     spec = DgpSpec("sim2_misspec")
     frame = generate(spec, 100_000, seed=22)
-    pi_hat = fit_propensity(frame, delta=0.001)
+    pi_hat = NuisanceCache(frame, delta=0.001).pi()
     truth = Sim2Exact(spec).pi_vec(frame)
     assert np.abs(pi_hat - truth).max() < 0.02

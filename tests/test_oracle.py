@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -5,6 +7,7 @@ from scipy.special import expit
 from pathshift.nuisance import EstimandId
 from pathshift.oracle import (
     DiscreteDgp,
+    ExactNuisances,
     MediatorTable,
     OracleError,
     cascade_mc,
@@ -102,6 +105,37 @@ def test_one_step_identity_at_exact_nuisances():
             enum = enumerate_gamma(dgp, estimand)
             onestep = one_step_population_value(dgp, estimand)
             assert abs(enum - onestep) < 1e-10, (name, estimand.label)
+
+
+def every_arm_vector(dgp):
+    K = dgp.n_blocks
+    return [EstimandId.shift(r0, arms) for r0 in (0, 1) for arms in itertools.product((0, 1), repeat=K)]
+
+
+@pytest.mark.parametrize("builder", [toy_k1, toy_k2, toy_k4])
+def test_one_step_identity_for_every_arm_vector(builder):
+    dgp = builder()
+    for estimand in every_arm_vector(dgp):
+        gap = abs(enumerate_gamma(dgp, estimand) - one_step_population_value(dgp, estimand))
+        assert gap < 1e-8, estimand.label
+
+
+@pytest.mark.parametrize("builder", [toy_k1, toy_k2, toy_k4])
+def test_one_step_identity_with_perturbed_regressions(builder, monkeypatch):
+    """With exact pi and g, the corrections cancel whatever the regression
+    levels are, so the identity checks the weights, which exact levels hide."""
+    dgp = builder()
+    rng = np.random.default_rng(11)
+    integrate = ExactNuisances.integrate
+
+    def perturbed(self, table, prefix, arm):
+        out = integrate(self, table, prefix, arm)
+        return out + rng.normal(0.0, 0.5, out.shape)
+
+    monkeypatch.setattr(ExactNuisances, "integrate", perturbed)
+    for estimand in every_arm_vector(dgp):
+        gap = abs(enumerate_gamma(dgp, estimand) - one_step_population_value(dgp, estimand))
+        assert gap < 1e-10, estimand.label
 
 
 def test_cascade_mc_agrees_with_enumeration():

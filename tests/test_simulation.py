@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from pathshift.estimators import estimate
 from pathshift.nuisance import EstimandId
 from pathshift.simulation import (
     DgpSpec,
@@ -116,9 +117,16 @@ def test_counterfactual_truth_all_zero_arms_is_reference_mean():
 def test_closed_form_matches_cascade_for_every_estimand():
     spec = DgpSpec("sim2_misspec")
     exact = Sim2Exact(spec)
-    for estimand in [EstimandId.adv(), EstimandId.direct(), EstimandId.mediator(2), EstimandId.sequential(3)]:
+    frame = generate(spec, 20_000, seed=2)
+    for estimand in [
+        EstimandId.adv(), EstimandId.direct(), EstimandId.mediator(2), EstimandId.sequential(3),
+        EstimandId.shift(0, (1, 0, 1, 1)), EstimandId.shift(1, (0, 1, 1, 0)), EstimandId.shift(0, (0, 1, 0, 1)),
+    ]:
         truth = truth_for(spec, estimand, n_draws=500_000, seed=2)
         assert abs(truth.value - exact.gamma(estimand)) <= 4 * truth.se, estimand.label
+        # the one-step estimate at the exact nuisances is unbiased for it too
+        est = estimate(frame, exact.nuisance_set(frame, estimand))
+        assert abs(est.point - exact.gamma(estimand)) <= 4 * est.se, estimand.label
 
 
 def test_discrete_truth_is_exact_enumeration():
@@ -205,7 +213,10 @@ def test_oracle_centering_requires_sim2():
 
 def test_robustness_condition_shapes():
     assert len(robustness_conditions(EstimandId.direct())) == 3
-    assert len(robustness_conditions(EstimandId.mediator(1))) == 3
+    k1 = robustness_conditions(EstimandId.mediator(1))
+    assert len(k1) == 3
+    # for k = 1 the last regression level is fit onto X from mu_1
+    assert [set(dict(c.route)) for c in k1] == [{"mu", "C_mu"}, {"g", "C_mu"}, {"pi", "g"}]
     for k in (2, 3, 4):
         conditions = robustness_conditions(EstimandId.mediator(k))
         assert len(conditions) == 4
