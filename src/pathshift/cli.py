@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .data import DataError, GroupSpec, RoleSpec, build_frame, load_csv
+from .data import DataError, build_frame, load_csv, role_spec_from_config
 from .decomposition import DecompositionConfig, DecompositionReport, decompose
 from .learners import LearnerSpec, SuperLearnerConfig, default_binary_sl, default_continuous_sl
 from .nuisance import EstimandId, NuisanceLearners
@@ -120,20 +120,23 @@ def cmd_decompose(args) -> int:
         return 2
 
     # the reporting scale dictates the outcome transform
-    outcome_cfg = dict(cfg.get("outcome", {}))
+    outcome_cfg = dict(cfg["outcome"])
     if scale == "geometric":
         outcome_cfg["scale"] = "log_positive"
     elif scale == "probability":
         outcome_cfg["scale"] = "positive_indicator"
 
-    ds = load_csv(data_path, na_codes=cfg.get("na_codes", ()))
-    group_cfg = cfg.get("group", {})
+    group_cfg = cfg["group"]
     pairs = group_cfg.get("pairs")
     if not pairs:
         if group_cfg.get("reference") is None or group_cfg.get("comparison") is None:
             print("error: config group section needs 'reference' and 'comparison' levels (or a 'pairs' list)", file=sys.stderr)
             return 2
         pairs = [{"reference": group_cfg["reference"], "comparison": group_cfg["comparison"]}]
+    roles = [
+        role_spec_from_config({**cfg, "group": {"name": group_cfg["name"], **pair}, "outcome": outcome_cfg})
+        for pair in pairs
+    ]
 
     decomp_config = DecompositionConfig(
         learners=_nuisance_learners(cfg),
@@ -145,19 +148,12 @@ def cmd_decompose(args) -> int:
     )
     kinds = ("natural", "sequential") if kind == "both" else (kind,)
 
+    ds = load_csv(data_path, na_codes=cfg.get("na_codes", ()))
     sections = []
     tables = []
-    for pair in pairs:
-        roles = RoleSpec(
-            covariates=tuple(cfg.get("covariates", ())),
-            group=GroupSpec(group_cfg["name"], float(pair["reference"]), float(pair["comparison"])),
-            mediator_blocks=tuple(tuple(b) for b in cfg["mediators"]),
-            outcome=outcome_cfg.get("name", cfg.get("outcome", {}).get("name")),
-            outcome_scale=outcome_cfg.get("scale", "raw"),
-        )
-        frame = build_frame(ds, roles)
-        for one_kind in kinds:
-            report = decompose(frame, decomp_config, one_kind)
+    for pair, pair_roles in zip(pairs, roles):
+        frame = build_frame(ds, pair_roles)
+        for one_kind, report in zip(kinds, decompose(frame, decomp_config, kinds)):
             sections.append(report.to_dict())
             title = (
                 f"{one_kind} decomposition: comparison={pair['comparison']} vs "

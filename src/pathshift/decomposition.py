@@ -7,6 +7,9 @@ blocks cumulatively and telescopes exactly to the total. Results can be
 expressed on the difference scale, on the geometric-mean-ratio scale (exp of
 log-scale differences, delta-method SEs), or as probability differences when
 the pipeline ran on the positive-part indicator outcome.
+
+Each report is a plan of (label, minuend, subtrahend) contrasts of
+counterfactual means; ``decompose`` evaluates several over one nuisance cache.
 """
 
 from __future__ import annotations
@@ -211,72 +214,83 @@ def _meta(frame: AnalysisFrame, config: DecompositionConfig, kind: str) -> dict:
     }
 
 
-def decompose_natural(frame: AnalysisFrame, config: DecompositionConfig | None = None) -> DecompositionReport:
+def _natural_plan(K: int) -> list[tuple[str, EstimandId, EstimandId]]:
+    """The natural report as (label, minuend, subtrahend) rows."""
+    dis, adv, direct = EstimandId.dis(), EstimandId.adv(), EstimandId.direct()
+    med = {k: EstimandId.mediator(k) for k in range(1, K + 1)}
+    return (
+        [("total", adv, dis)]
+        + [(f"mediator_{k}", m, dis) for k, m in med.items()]
+        + [("outcome_attributed", direct, dis)]
+        + [(f"residual_mediator_{k}", adv, m) for k, m in med.items()]
+        + [("residual_outcome", adv, direct)]
+    )
+
+
+def _sequential_plan(K: int) -> list[tuple[str, EstimandId, EstimandId]]:
+    """The sequential report: each step of the chain adv, sequential(1..K), dis."""
+    dis, adv = EstimandId.dis(), EstimandId.adv()
+    chain = [adv] + [EstimandId.sequential(k) for k in range(1, K + 1)] + [dis]
+    return (
+        [("total", adv, dis)]
+        + [(f"sequential_{k}", chain[k - 1], chain[k]) for k in range(1, K + 1)]
+        + [("sequential_outcome", chain[K], dis)]
+    )
+
+
+def _report(frame: AnalysisFrame, config: DecompositionConfig | None, kind: str, plan, cache) -> DecompositionReport:
+    """Evaluate one plan: each distinct estimand once, each component one contrast."""
+    if cache is None:
+        return decompose(frame, config, (kind,))[0]
+    config = config or DecompositionConfig()
+    out_scale = _component_scale(config, frame)
+    memo: dict[EstimandId, GammaEstimate] = {}
+
+    def gamma(estimand: EstimandId) -> GammaEstimate:
+        if estimand not in memo:
+            memo[estimand] = estimate(frame, fit_all(frame, estimand, cache=cache))
+        return memo[estimand]
+
+    components = [contrast(gamma(a), gamma(b), label, config.alpha) for label, a, b in plan(frame.n_blocks)]
+    if kind == "sequential":
+        total = components[0].point
+        parts = sum(c.point for c in components[1:])
+        if abs(parts - total) > SEQUENTIAL_ADDITIVITY_TOL * max(1.0, abs(total)):
+            raise DecompositionError("sequential components failed to telescope to the total")
+
+    return DecompositionReport(
+        components=_finalize(components, out_scale),
+        estimand_meta=_meta(frame, config, kind),
+        diagnostics=cache.diagnostics(),
+    )
+
+
+def decompose_natural(
+    frame: AnalysisFrame, config: DecompositionConfig | None = None, cache: NuisanceCache | None = None
+) -> DecompositionReport:
     """Reference-zero decomposition: total, per-block shifts, outcome-attributed,
     and the residuals of each against the total."""
-    config = config or DecompositionConfig()
-    out_scale = _component_scale(config, frame)
-    cache = NuisanceCache(frame, config.learners, config.delta, config.crossfit_folds, config.seed)
-    K = frame.n_blocks
-
-    def gamma(estimand: EstimandId) -> GammaEstimate:
-        return estimate(frame, fit_all(frame, estimand, cache=cache))
-
-    g_dis = gamma(EstimandId.dis())
-    g_adv = gamma(EstimandId.adv())
-    g_direct = gamma(EstimandId.direct())
-    g_med = {k: gamma(EstimandId.mediator(k)) for k in range(1, K + 1)}
-
-    a = config.alpha
-    components = [contrast(g_adv, g_dis, "total", a)]
-    components += [contrast(g_med[k], g_dis, f"mediator_{k}", a) for k in range(1, K + 1)]
-    components.append(contrast(g_direct, g_dis, "outcome_attributed", a))
-    components += [contrast(g_adv, g_med[k], f"residual_mediator_{k}", a) for k in range(1, K + 1)]
-    components.append(contrast(g_adv, g_direct, "residual_outcome", a))
-
-    return DecompositionReport(
-        components=_finalize(components, out_scale),
-        estimand_meta=_meta(frame, config, "natural"),
-        diagnostics=cache.diagnostics(),
-    )
+    return _report(frame, config, "natural", _natural_plan, cache)
 
 
-def decompose_sequential(frame: AnalysisFrame, config: DecompositionConfig | None = None) -> DecompositionReport:
+def decompose_sequential(
+    frame: AnalysisFrame, config: DecompositionConfig | None = None, cache: NuisanceCache | None = None
+) -> DecompositionReport:
     """Cumulative decomposition whose components telescope to the total."""
+    return _report(frame, config, "sequential", _sequential_plan, cache)
+
+
+def decompose(
+    frame: AnalysisFrame, config: DecompositionConfig | None = None, kinds: tuple[str, ...] = ("natural",)
+) -> tuple[DecompositionReport, ...]:
+    """One report per kind, all estimated from one nuisance cache, so every
+    nuisance the kinds share is fit once."""
     config = config or DecompositionConfig()
-    out_scale = _component_scale(config, frame)
+    # looked up per call, so that a profiler or tracer wrapping the module's
+    # names sees each report
+    builders = {"natural": decompose_natural, "sequential": decompose_sequential}
+    for kind in kinds:
+        if kind not in builders:
+            raise DecompositionError(f"unknown decomposition kind {kind!r}")
     cache = NuisanceCache(frame, config.learners, config.delta, config.crossfit_folds, config.seed)
-    K = frame.n_blocks
-
-    def gamma(estimand: EstimandId) -> GammaEstimate:
-        return estimate(frame, fit_all(frame, estimand, cache=cache))
-
-    g_dis = gamma(EstimandId.dis())
-    g_adv = gamma(EstimandId.adv())
-    g_star = {k: gamma(EstimandId.sequential(k)) for k in range(1, K + 1)}
-
-    a = config.alpha
-    components = [contrast(g_adv, g_dis, "total", a)]
-    chain = [g_adv] + [g_star[k] for k in range(1, K + 1)] + [g_dis]
-    for k in range(1, K + 1):
-        components.append(contrast(chain[k - 1], chain[k], f"sequential_{k}", a))
-    components.append(contrast(g_star[K], g_dis, "sequential_outcome", a))
-
-    total = components[0].point
-    parts = sum(c.point for c in components[1:])
-    if abs(parts - total) > SEQUENTIAL_ADDITIVITY_TOL * max(1.0, abs(total)):
-        raise DecompositionError("sequential components failed to telescope to the total")
-
-    return DecompositionReport(
-        components=_finalize(components, out_scale),
-        estimand_meta=_meta(frame, config, "sequential"),
-        diagnostics=cache.diagnostics(),
-    )
-
-
-def decompose(frame: AnalysisFrame, config: DecompositionConfig | None = None, kind: str = "natural"):
-    if kind == "natural":
-        return decompose_natural(frame, config)
-    if kind == "sequential":
-        return decompose_sequential(frame, config)
-    raise DecompositionError(f"unknown decomposition kind {kind!r}")
+    return tuple(builders[kind](frame, config, cache=cache) for kind in kinds)

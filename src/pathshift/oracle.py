@@ -264,6 +264,21 @@ def exact_nuisances(dgp: DiscreteDgp) -> ExactNuisances:
     return ExactNuisances(dgp)
 
 
+def _configurations(dgp: DiscreteDgp):
+    """Every observed-data configuration as flat (x, r, mediator, y) category
+    indices, with its probability under the DGP."""
+    shape = (dgp.sx, 2) + dgp.sizes + (dgp.y_values.shape[0],)
+    flat = [g.ravel() for g in np.indices(shape)]
+    x_idx, r_idx = flat[0], flat[1]
+    m_idx = flat[2 : 2 + dgp.n_blocks]
+    y_idx = flat[-1]
+    prob = dgp.p_x[x_idx] * np.where(r_idx == 1, dgp.p_r1[x_idx], 1.0 - dgp.p_r1[x_idx])
+    for k, med in enumerate(dgp.mediators, start=1):
+        prob = prob * med.table[(x_idx, r_idx) + tuple(m_idx[:k])]
+    prob = prob * dgp.p_y[(x_idx, r_idx) + tuple(m_idx) + (y_idx,)]
+    return x_idx, r_idx, m_idx, y_idx, prob
+
+
 def one_step_population_value(dgp: DiscreteDgp, estimand: EstimandId) -> float:
     """Population expectation of the one-step summand at exact nuisances.
 
@@ -275,21 +290,7 @@ def one_step_population_value(dgp: DiscreteDgp, estimand: EstimandId) -> float:
     from .estimators import gamma_summands
 
     estimand.validate(dgp.n_blocks)
-    sizes = dgp.sizes
-    sy = dgp.y_values.shape[0]
-    shape = (dgp.sx, 2) + sizes + (sy,)
-    grids = np.indices(shape)
-    flat = [g.ravel() for g in grids]
-    x_idx, r_idx = flat[0], flat[1]
-    m_idx = flat[2 : 2 + dgp.n_blocks]
-    y_idx = flat[-1]
-
-    prob = dgp.p_x[x_idx] * np.where(r_idx == 1, dgp.p_r1[x_idx], 1.0 - dgp.p_r1[x_idx])
-    for k, med in enumerate(dgp.mediators, start=1):
-        idx = (x_idx, r_idx) + tuple(m_idx[j] for j in range(k))
-        prob = prob * med.table[idx]
-    prob = prob * dgp.p_y[(x_idx, r_idx) + tuple(m_idx) + (y_idx,)]
-
+    x_idx, r_idx, m_idx, y_idx, prob = _configurations(dgp)
     live = prob > 0
     states = SampledStates(x_idx=x_idx[live], m_idx=[m[live] for m in m_idx], y_idx=y_idx[live])
     q = exact_nuisances(dgp).nuisance_set(states, estimand)
@@ -344,18 +345,7 @@ def population_frame(dgp: DiscreteDgp, scale: int) -> tuple[AnalysisFrame, Sampl
     (e.g. dyadic tables); on such a frame empirical conditional means equal
     the population tables exactly.
     """
-    sizes = dgp.sizes
-    sy = dgp.y_values.shape[0]
-    shape = (dgp.sx, 2) + sizes + (sy,)
-    grids = np.indices(shape)
-    flat = [g.ravel() for g in grids]
-    x_idx, r_idx = flat[0], flat[1]
-    m_idx = flat[2 : 2 + dgp.n_blocks]
-    y_idx = flat[-1]
-    prob = dgp.p_x[x_idx] * np.where(r_idx == 1, dgp.p_r1[x_idx], 1.0 - dgp.p_r1[x_idx])
-    for k, med in enumerate(dgp.mediators, start=1):
-        prob = prob * med.table[(x_idx, r_idx) + tuple(m_idx[j] for j in range(k))]
-    prob = prob * dgp.p_y[(x_idx, r_idx) + tuple(m_idx) + (y_idx,)]
+    x_idx, r_idx, m_idx, y_idx, prob = _configurations(dgp)
     counts = prob * scale
     rounded = np.rint(counts)
     if np.abs(counts - rounded).max() > 1e-9:

@@ -33,6 +33,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .data import AnalysisFrame
+from .decomposition import contrast
 from .estimators import estimate, gamma_summands
 from .nuisance import EstimandId, ExactProvider, NuisanceCache, NuisanceLearners, NuisanceSet, fit_all
 from .learners import default_binary_sl, default_continuous_sl
@@ -424,6 +425,25 @@ def _enumerated_truth(tables, r0: int, arms: tuple) -> TruthValue:
     return TruthValue(float(agg @ tables.p_x), 0.0, 0)
 
 
+def _mc_mean(values, n_draws: int) -> TruthValue:
+    """Monte-Carlo mean and its SE over chunks of at most 10^6 draws;
+    ``values(m, chunk_id)`` returns one chunk's m per-draw values."""
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    chunk_id = 0
+    while done < n_draws:
+        m = min(1_000_000, n_draws - done)
+        vals = values(m, chunk_id)
+        total += float(vals.sum())
+        total_sq += float((vals**2).sum())
+        done += m
+        chunk_id += 1
+    mean = total / n_draws
+    var = max(total_sq / n_draws - mean**2, 0.0)
+    return TruthValue(mean, float(np.sqrt(var / n_draws)), n_draws)
+
+
 def counterfactual_truth(
     spec: DgpSpec,
     r0: int,
@@ -443,20 +463,7 @@ def counterfactual_truth(
     if spec.kind == "discrete_toy":
         return _enumerated_truth(spec.tables, int(r0), tuple(int(a) for a in r_vector))
 
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_id = 0
-    while done < n_draws:
-        m = min(1_000_000, n_draws - done)
-        vals = _cascade_values(spec, r0, tuple(r_vector), m, seed, chunk_id)
-        total += float(vals.sum())
-        total_sq += float((vals**2).sum())
-        done += m
-        chunk_id += 1
-    mean = total / n_draws
-    var = max(total_sq / n_draws - mean**2, 0.0)
-    return TruthValue(mean, float(np.sqrt(var / n_draws)), n_draws)
+    return _mc_mean(lambda m, chunk_id: _cascade_values(spec, r0, tuple(r_vector), m, seed, chunk_id), n_draws)
 
 
 def counterfactual_truth_contrast(
@@ -475,22 +482,12 @@ def counterfactual_truth_contrast(
         va = _enumerated_truth(spec.tables, a[0], tuple(a[1]))
         vb = _enumerated_truth(spec.tables, b[0], tuple(b[1]))
         return TruthValue(va.value - vb.value, 0.0, 0)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_id = 0
-    while done < n_draws:
-        m = min(1_000_000, n_draws - done)
-        diff = _cascade_values(spec, a[0], tuple(a[1]), m, seed, chunk_id) - _cascade_values(
-            spec, b[0], tuple(b[1]), m, seed, chunk_id
-        )
-        total += float(diff.sum())
-        total_sq += float((diff**2).sum())
-        done += m
-        chunk_id += 1
-    mean = total / n_draws
-    var = max(total_sq / n_draws - mean**2, 0.0)
-    return TruthValue(mean, float(np.sqrt(var / n_draws)), n_draws)
+
+    def diff(m: int, chunk_id: int) -> np.ndarray:
+        va = _cascade_values(spec, a[0], tuple(a[1]), m, seed, chunk_id)
+        return va - _cascade_values(spec, b[0], tuple(b[1]), m, seed, chunk_id)
+
+    return _mc_mean(diff, n_draws)
 
 
 def truth_for(spec: DgpSpec, estimand: "EstimandId | RhoSpec", n_draws: int = 2_000_000, seed: int = 977) -> TruthValue:
@@ -641,11 +638,11 @@ def _run_one_rep(args):
     from a shared nuisance cache (propensity and g fits are common).
 
     Targets may be counterfactual means (EstimandId) or disparity contrasts
-    (RhoSpec); the latter get EIF-difference confidence intervals.
+    (RhoSpec); the latter get EIF-difference confidence intervals from
+    :func:`contrast`. Each counterfactual mean is estimated once per replicate,
+    however many contrasts share it.
     """
     spec, targets, n, method, seed, centering, alpha = args
-    from scipy.stats import norm
-
     try:
         frame = generate(spec, n, seed=seed)
         x_alt = None
@@ -655,25 +652,26 @@ def _run_one_rep(args):
             frame, method.learners, method.delta, method.folds, seed, x_alt=x_alt, route=dict(method.route)
         )
         exact = Sim2Exact(spec) if centering else None
-        z = norm.ppf(1 - alpha / 2)
+        memo: dict[EstimandId, tuple] = {}
 
         def gamma_est(estimand):
-            est = estimate(frame, fit_all(frame, estimand, cache=cache))
-            hbar = None
-            if exact is not None:
-                q_true = exact.nuisance_set(frame, estimand)
-                hbar = float(np.mean(gamma_summands(frame.y, frame.r, q_true)))
-            return est, hbar
+            if estimand not in memo:
+                est = estimate(frame, fit_all(frame, estimand, cache=cache))
+                hbar = None
+                if exact is not None:
+                    q_true = exact.nuisance_set(frame, estimand)
+                    hbar = float(np.mean(gamma_summands(frame.y, frame.r, q_true)))
+                memo[estimand] = (est, hbar)
+            return memo[estimand]
 
         out = {}
         for target in targets:
             if isinstance(target, RhoSpec):
                 a, hbar_a = gamma_est(target.minuend)
                 b, hbar_b = gamma_est(target.subtrahend)
-                point = a.point - b.point
-                se = float(np.sqrt(np.mean((a.eif - b.eif) ** 2) / frame.n))
+                c = contrast(a, b, target.label, alpha)
                 hbar = None if hbar_a is None else hbar_a - hbar_b
-                out[target.label] = (point, point - z * se, point + z * se, hbar)
+                out[target.label] = (c.point, c.ci[0], c.ci[1], hbar)
             else:
                 est, hbar = gamma_est(target)
                 lo, hi = est.ci(alpha)

@@ -213,10 +213,13 @@ def test_report_serialization_roundtrip_and_csv():
 
 def test_decompose_dispatch():
     frame = generate(DgpSpec("sim2_misspec"), 700, seed=14)
-    assert decompose(frame, kind="natural").estimand_meta["decomposition"] == "natural"
-    assert decompose(frame, kind="sequential").estimand_meta["decomposition"] == "sequential"
+    natural, sequential = decompose(frame, kinds=("natural", "sequential"))
+    assert natural.estimand_meta["decomposition"] == "natural"
+    assert sequential.estimand_meta["decomposition"] == "sequential"
+    assert natural.to_dict() == decompose_natural(frame).to_dict()
+    assert sequential.to_dict() == decompose_sequential(frame).to_dict()
     with pytest.raises(DecompositionError, match="unknown decomposition"):
-        decompose(frame, kind="upside_down")
+        decompose(frame, kinds=("natural", "upside_down"))
 
 
 def test_component_invariants_enforced():

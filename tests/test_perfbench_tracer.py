@@ -2,11 +2,18 @@
 
 ``perfbench/tracer.py`` patches functions and methods by name; renaming one
 of them breaks traced benchmark runs. Entering and leaving the tracer, with
-no workload run in between, catches that in a second.
+no workload run in between, catches that in a second. A small traced
+``decompose --decomposition both`` run checks that the reports reach the
+traced report builders and fit each nuisance once.
 """
 
 import importlib.util
+import json
 import os
+
+from pathshift import cli
+from pathshift.data import build_frame, load_csv, role_spec_from_config
+from pathshift.decomposition import DecompositionConfig, decompose_natural, decompose_sequential
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,3 +35,26 @@ def test_tracer_instruments_every_name_and_restores_it():
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original, attr
     assert tracer.spans == []
+
+
+def test_decompose_both_fits_each_nuisance_once(meps_like_csv, tmp_path):
+    module = _load_tracer()
+    _, cfg_path = meps_like_csv
+    tracer = module.Tracer()
+    with tracer:
+        argv = ["decompose", "--config", cfg_path, "--out", str(tmp_path), "--seed", "4", "--decomposition", "both"]
+        assert cli.main(argv) == 0
+    metrics = module.layer_metrics(tracer.spans)
+    assert metrics["nuisance.learner_fits"] > 0
+    assert metrics["nuisance.duplicate_fit_frac"] == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("decomposition.natural") == 1
+    assert names.count("decomposition.sequential") == 1
+
+    with open(cfg_path, encoding="utf-8") as handle:
+        cfg = json.load(handle)
+    frame = build_frame(load_csv(cfg["data"]), role_spec_from_config(cfg))
+    config = DecompositionConfig(learners=cli._nuisance_learners(cfg), seed=4)
+    separate = [decompose_natural(frame, config).to_dict(), decompose_sequential(frame, config).to_dict()]
+    payload = json.loads((tmp_path / "decomposition.json").read_text())
+    assert payload["reports"] == json.loads(json.dumps(separate))

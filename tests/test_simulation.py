@@ -273,3 +273,33 @@ def test_run_grid_sequential_contrast_target():
     exact = Sim2Exact(spec)
     truth = exact.gamma(EstimandId.sequential(1)) - exact.gamma(EstimandId.sequential(2))
     assert abs(cell.truth - truth) <= 6 * cell.truth_se + 1e-6
+
+
+def test_nonfinite_contrast_se_fails_the_replicate(monkeypatch):
+    import dataclasses
+
+    from pathshift import simulation
+    from pathshift.simulation import RhoSpec, TruthValue, _run_one_rep
+
+    real_estimate = simulation.estimate
+
+    def estimate_with_nan(frame, q):
+        est = real_estimate(frame, q)
+        eif = est.eif.copy()
+        eif[0] = np.nan
+        return dataclasses.replace(est, eif=eif)
+
+    monkeypatch.setattr(simulation, "estimate", estimate_with_nan)
+    spec = DgpSpec("sim2_misspec")
+    rho = RhoSpec.mediator(1)
+    status, detail = _run_one_rep((spec, (rho,), 300, glm_method(), 4, False, 0.05))
+    assert status == "error"
+    assert "non-finite standard error" in detail
+    report = run_grid(
+        spec, (rho,), (300,), reps=2, methods=(glm_method(),), base_seed=4,
+        truths={rho.label: TruthValue(0.0, 0.0, 0)},
+    )
+    cell = report.cells[0]
+    assert cell.failures == 2
+    assert cell.reps == 0
+    assert np.isnan(cell.coverage)
