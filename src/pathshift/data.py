@@ -248,6 +248,13 @@ def one_hot(ds: Dataset, column: str, drop_first: bool = True) -> Dataset:
     return Dataset(new_cols)
 
 
+def _group_level(group: dict, key: str) -> float:
+    try:
+        return float(group[key])
+    except (TypeError, ValueError) as err:
+        raise DataError(f"config group {key!r} must be a number, got {group[key]!r}") from err
+
+
 def role_spec_from_config(cfg: dict) -> RoleSpec:
     """Build a RoleSpec from the structured config mapping.
 
@@ -261,8 +268,8 @@ def role_spec_from_config(cfg: dict) -> RoleSpec:
             covariates=tuple(cfg.get("covariates", ())),
             group=GroupSpec(
                 name=group["name"],
-                reference=float(group["reference"]),
-                comparison=float(group["comparison"]),
+                reference=_group_level(group, "reference"),
+                comparison=_group_level(group, "comparison"),
             ),
             mediator_blocks=tuple(tuple(block) for block in cfg["mediators"]),
             outcome=outcome["name"],

@@ -146,6 +146,13 @@ def test_decompose_incomplete_config_messages(meps_like_csv, tmp_path, capsys):
     }))
     assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "missing required key: 'name'" in capsys.readouterr().err
+    for pair, key in [({"reference": None, "comparison": 1}, "reference"), ({"reference": 1, "comparison": "abc"}, "comparison")]:
+        cfg.write_text(json.dumps({
+            "data": path, "outcome": {"name": "expenditure"}, "mediators": [["m2"]],
+            "group": {"name": "race", "pairs": [pair]},
+        }))
+        assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"config group '{key}' must be a number" in capsys.readouterr().err
 
 
 def test_simulate_robustness_alias(tmp_path):

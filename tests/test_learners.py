@@ -141,6 +141,95 @@ def test_boosted_stumps_fits_step_function():
     assert np.array_equal(model.predict(x), again.predict(x))
 
 
+def _reference_stumps(x, y, rounds, shrinkage, policy):
+    """Boosted stumps with the split search written per feature column."""
+    xe = expand_features(x, policy)
+    n, p = xe.shape
+    orders = [np.argsort(xe[:, j], kind="stable") for j in range(p)]
+    f0 = float(y.mean())
+    pred = np.full(n, f0)
+    stumps = []
+    for _ in range(rounds):
+        resid = y - pred
+        best = None
+        for j in range(p):
+            xv = xe[orders[j], j]
+            csum = np.cumsum(resid[orders[j]])
+            change = np.nonzero(np.diff(xv))[0]
+            if change.size == 0:
+                continue
+            cnt_l = change + 1
+            sum_l = csum[change]
+            cnt_r = n - cnt_l
+            sum_r = csum[-1] - sum_l
+            gain = sum_l**2 / cnt_l + sum_r**2 / cnt_r
+            i = int(np.argmax(gain))
+            if best is None or gain[i] > best[0]:
+                thr = float(0.5 * (xv[change[i]] + xv[change[i] + 1]))
+                best = (gain[i], j, thr, float(sum_l[i] / cnt_l[i]), float(sum_r[i] / cnt_r[i]))
+        if best is None:
+            break
+        _, j, thr, left, right = best
+        stumps.append((j, thr, shrinkage * left, shrinkage * right))
+        pred = pred + np.where(xe[:, j] <= thr, shrinkage * left, shrinkage * right)
+    return f0, stumps, {"loss": float(np.mean((y - pred) ** 2)), "iterations": len(stumps)}
+
+
+def _reference_predict(f0, stumps, xq, policy, clip):
+    xq = expand_features(xq, policy)
+    out = np.full(xq.shape[0], f0)
+    for j, thr, left, right in stumps:
+        out += np.where(xq[:, j] <= thr, left, right)
+    return np.clip(out, 0.0, 1.0) if clip else out
+
+
+def _stump_case(case, rng):
+    if case == "ties":
+        x = np.round(rng.standard_normal((80, 3)), 1)
+    elif case == "one_constant_column":
+        x = rng.standard_normal((50, 3))
+        x[:, 1] = 2.5
+    elif case == "all_constant":
+        x = np.full((30, 2), 1.5)
+    elif case == "n2":
+        x = rng.standard_normal((2, 2))
+    else:  # "p1"
+        x = np.round(rng.standard_normal((40, 1)), 2)
+    y = np.round(x[:, 0] ** 2 + rng.standard_normal(x.shape[0]), 1)
+    return x, y
+
+
+@pytest.mark.parametrize("policy", ["main_effects", "pairwise_interactions", "quadratic"])
+@pytest.mark.parametrize("case", ["ties", "one_constant_column", "all_constant", "n2", "p1"])
+@pytest.mark.parametrize("probability", [False, True])
+def test_boosted_stumps_match_reference_split_search(case, policy, probability):
+    rng = np.random.default_rng(11)
+    x, y = _stump_case(case, rng)
+    if probability:
+        y = (y > np.median(y)).astype(float)
+    fresh = np.round(rng.standard_normal((25, x.shape[1])) * 1.5, 1)
+    model = fit_boosted_stumps(x, y, rounds=40, shrinkage=0.3, feature_policy=policy, probability=probability)
+    f0, stumps, meta = _reference_stumps(x, y, 40, 0.3, policy)
+    for xq in (x, fresh):
+        assert np.array_equal(model.predict(xq), _reference_predict(f0, stumps, xq, policy, probability))
+    assert model.training_meta == meta
+    assert (meta["iterations"] == 0) == (case == "all_constant")
+
+
+def test_boosted_stumps_tie_breaks_toward_lower_feature_index():
+    rng = np.random.default_rng(4)
+    x0 = rng.standard_normal(60)
+    y = np.where(x0 > 0.2, 3.0, -1.0) + 0.1 * rng.standard_normal(60)
+    model = fit_boosted_stumps(np.column_stack([x0, x0]), y, rounds=30, shrinkage=0.3)
+    assert model.training_meta["iterations"] == 30
+    # every split of the duplicated column ties; only column 0 may be read
+    probe = rng.standard_normal(200)
+    reads_col0 = model.predict(np.column_stack([probe, np.zeros(200)]))
+    assert np.array_equal(reads_col0, model.predict(np.column_stack([probe, np.full(200, 9.0)])))
+    assert np.array_equal(reads_col0, model.predict(np.column_stack([probe, -probe])))
+    assert not np.array_equal(reads_col0, model.predict(np.column_stack([-probe, probe])))
+
+
 def test_knn_k1_memorizes_training_points():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((50, 2))
