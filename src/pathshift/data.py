@@ -8,6 +8,7 @@ group), K ordered mediator blocks, and the outcome on its analysis scale.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -46,23 +47,77 @@ class Dataset:
 def load_csv(path: str, na_codes: Sequence[float] = ()) -> Dataset:
     """Read a comma-delimited UTF-8 file with a header row into a Dataset.
 
-    ``na_codes`` are sentinel values (e.g. -1, -7, -8, -9) recoded to missing;
-    empty cells are missing as well. Every column must parse as float64.
+    The first row names the columns; names are stripped and must be unique.
+    Every other line is one row with one numeric cell per column: anything
+    Python's ``float`` accepts, surrounded by optional whitespace and
+    optionally in double quotes. Empty cells are missing, and so are cells
+    equal to one of the sentinel ``na_codes`` (e.g. -1, -7, -8, -9). A blank
+    line is a row of the wrong width and is rejected, as is a non-numeric cell.
+
+    The body is parsed in one call to numpy's C reader. Files it refuses or
+    reads differently go through the row reader, :func:`_read_rows`, which
+    owns the empty-cell rule and every error message: a file with an empty
+    cell, a cell only Python's ``float`` reads (``1_000``, non-ASCII digits),
+    a bad cell or width, or a blank, whitespace-only or quoted-newline line.
     """
-    na_set = {float(c) for c in na_codes}
+    na = [float(c) for c in na_codes]
+    with _open(path) as handle:
+        names = _header(path, csv.reader(handle))
+        table = _parse_body(handle, len(names))
+    if table is None:
+        return _read_rows(path, na_codes)
+    table[np.isin(table, na)] = np.nan
+    return Dataset(dict(zip(names, np.ascontiguousarray(table.T))))
+
+
+def _open(path: str):
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8")
     except OSError as err:
         raise DataError(f"cannot read {path}: {err}") from err
-    with handle:
+
+
+def _header(path: str, reader) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, no header row")
+    names = [h.strip() for h in header]
+    if len(set(names)) != len(names):
+        raise DataError(f"{path}: duplicate column names")
+    return names
+
+
+def _parse_body(lines, width: int) -> np.ndarray | None:
+    """The remaining lines as an (n, width) float array, or None where numpy's
+    reader refuses them or could read them differently from the row reader.
+
+    numpy skips blank lines and joins quoted newlines, so its row count must
+    equal the number of lines for each of its rows to be one row of the file.
+    """
+    n_lines = 0
+
+    def counted():
+        nonlocal n_lines
+        for line in lines:
+            n_lines += 1
+            yield line
+
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(counted(), delimiter=",", dtype=float, comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape == (n_lines, width) else None
+
+
+def _read_rows(path: str, na_codes: Sequence[float]) -> Dataset:
+    """Row-by-row reader: :func:`load_csv` for the files numpy's reader refuses."""
+    na_set = {float(c) for c in na_codes}
+    with _open(path) as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, no header row")
-        names = [h.strip() for h in header]
-        if len(set(names)) != len(names):
-            raise DataError(f"{path}: duplicate column names")
+        names = _header(path, reader)
         cols: list[list[float]] = [[] for _ in names]
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(names):
@@ -231,16 +286,14 @@ def one_hot(ds: Dataset, column: str, drop_first: bool = True) -> Dataset:
     order of first appearance. Missing values propagate to every indicator.
     """
     values = ds.column(column)
-    seen: list[float] = []
-    for v in values:
-        if not np.isnan(v) and v not in seen:
-            seen.append(v)
+    nan_mask = np.isnan(values)
+    observed, first = np.unique(values[~nan_mask], return_index=True)
+    seen = observed[np.argsort(first)]
     if len(seen) < 2:
         raise DataError(f"column {column!r} has fewer than 2 observed levels")
     levels = seen[1:] if drop_first else seen
     new_cols = dict(ds.columns)
     del new_cols[column]
-    nan_mask = np.isnan(values)
     for level in levels:
         ind = (values == level).astype(float)
         ind[nan_mask] = np.nan

@@ -189,14 +189,15 @@ def _irls(d: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, int, bo
     pen = np.eye(p) * lam
     pen[0, 0] = 0.0
     beta = np.zeros(p)
+    eta = d @ beta
     dev = np.inf
     for it in range(1, LOGISTIC_MAX_ITER + 1):
-        eta = d @ beta
         mu = expit(eta)
         w = np.clip(mu * (1 - mu), 1e-12, None)
         z = eta + (y - mu) / w
-        a = (d * w[:, None]).T @ d + pen
-        b = (d * w[:, None]).T @ z
+        dw = d * w[:, None]
+        a = dw.T @ d + pen
+        b = dw.T @ z
         try:
             beta_new = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:
@@ -224,7 +225,9 @@ def fit_logistic(
     """Logistic regression via IRLS (deviance tolerance 1e-8, <= 100 iterations).
 
     Perfectly separated data is refit with a small L2 penalty (lambda = 1e-4)
-    and flagged in ``training_meta["separation_penalized"]``.
+    and flagged in ``training_meta["separation_penalized"]``. A fit whose own
+    ``ridge_lambda`` is at least that penalty keeps its first run, which the
+    refit would repeat, and is flagged the same way.
     """
     x, y = _check_inputs(x, y)
     uniq = np.unique(y)
@@ -234,10 +237,10 @@ def fit_logistic(
         raise LearnerError("logistic response is single-class")
     d = _design(expand_features(x, feature_policy))
     beta, iters, converged = _irls(d, y, ridge_lambda)
-    meta = {"iterations": iters, "separation_penalized": False}
-    if not converged:
-        beta, iters2, _ = _irls(d, y, max(ridge_lambda, SEPARATION_RIDGE))
-        meta = {"iterations": iters + iters2, "separation_penalized": True}
+    meta = {"iterations": iters, "separation_penalized": not converged}
+    if not converged and ridge_lambda < SEPARATION_RIDGE:
+        beta, iters2, _ = _irls(d, y, SEPARATION_RIDGE)
+        meta["iterations"] += iters2
     mu = expit(d @ beta)
     mu_c = np.clip(mu, 1e-12, 1 - 1e-12)
     meta["loss"] = -float(np.mean(y * np.log(mu_c) + (1 - y) * np.log(1 - mu_c)))

@@ -1,6 +1,11 @@
+import csv
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
+from pathshift import data
 from pathshift.data import (
     DataError,
     Dataset,
@@ -48,6 +53,124 @@ def test_load_csv_errors(tmp_path):
         load_csv(write(tmp_path, "a,a\n1,2\n"))
     with pytest.raises(DataError, match="cannot read"):
         load_csv(str(tmp_path / "missing.csv"))
+
+
+def reference_load_csv(path, na_codes=()):
+    """The per-cell loop that ``load_csv`` must reproduce: values, names and errors."""
+    na_set = {float(c) for c in na_codes}
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as err:
+        raise DataError(f"cannot read {path}: {err}") from err
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, no header row")
+        names = [h.strip() for h in header]
+        if len(set(names)) != len(names):
+            raise DataError(f"{path}: duplicate column names")
+        cols = [[] for _ in names]
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(names):
+                raise DataError(f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}")
+            for j, cell in enumerate(row):
+                cell = cell.strip()
+                if cell == "":
+                    cols[j].append(np.nan)
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: non-numeric value {cell!r} in column {names[j]!r}")
+                cols[j].append(np.nan if value in na_set else value)
+    return Dataset({name: np.asarray(col, dtype=float) for name, col in zip(names, cols)})
+
+
+READER_EDGE_CASES = {
+    "plain": ("a,b\n1,2\n-3.5,4e2\n", ()),
+    "sentinels": ("a,b\n1,-9\n-7,2\n-1,-8\n", (-1, -7, -8, -9)),
+    "empty_leading": ("a,b\n,2\n3,4\n", ()),
+    "empty_middle": ("a,b,c\n1,,3\n", ()),
+    "empty_trailing": ("a,b,c\n1,2,\n", ()),
+    "empty_row": ("a,b\n1,2\n,\n", ()),
+    "pad_spaces": ("a,b\n 1 ,  2\n", ()),
+    "pad_tabs": ("a,b\n\t1\t,2\t\n", ()),
+    "pad_nbsp": ("a,b\n\xa01\xa0,2\n", ()),
+    "quoted": ('a,b\n"1",2\n', ()),
+    "quote_after_space": ('a,b\n "1",2\n', ()),
+    "space_after_quote": ('a,b\n"1" ,2\n', ()),
+    "doubled_quote": ('a,b\n"1""",2\n', ()),
+    "quoted_comma": ('a,b\n"1,5",2\n', ()),
+    "quoted_newline": ('a,b\n"1\n2",3\n', ()),
+    "quoted_trailing_newline": ('a,b\n"1\n",3\n4,5\n', ()),
+    "text_after_quote": ('a,b\n"1"2,3\n', ()),
+    "quote_mid_cell": ('a,b\n1"2",3\n', ()),
+    "crlf": ("a,b\r\n1,2\r\n3,4\r\n", ()),
+    "lone_cr": ("a,b\r1,2\r3,4\r", ()),
+    "no_final_newline": ("a,b\n1,2\n3,4", ()),
+    "blank_line_middle": ("a,b\n1,2\n\n3,4\n", ()),
+    "blank_line_end": ("a,b\n1,2\n\n", ()),
+    "blank_line_one_column": ("a\n1\n\n2\n", ()),
+    "whitespace_line_one_column": ("a\n1\n  \n2\n", ()),
+    "nan_inf": ("a,b,c,d\nnan,NaN,-Infinity,inf\n", ()),
+    "underscore": ("a,b\n1_000,2\n", ()),
+    "arabic_digit": ("a,b\n\u0661,2\n", ()),
+    "hex": ("a,b\n0x10,2\n", ()),
+    "hash": ("a,b\n2#c,3\n", ()),
+    "overflow": ("a,b\n1e400,2\n", ()),
+    "underflow_and_negative_zero": ("a,b,c\n4.9e-325,-0,1\n", (0,)),
+    "trailing_comma": ("a,b\n1,2,\n", ()),
+    "short_row": ("a,b\n1,2\n3\n", ()),
+    "long_row": ("a,b\n1,2\n3,4,5\n", ()),
+    "every_row_long": ("a,b\n1,2,3\n4,5,6\n", ()),
+    "every_row_short": ("a,b,c\n1,2\n4,5\n", ()),
+    "header_only": ("a,b\n", ()),
+    "header_only_one_column": ("a\n", ()),
+    "empty_header_cell": ("a,,b\n1,2,3\n", ()),
+    "padded_header": (" a , b\n1,2\n", ()),
+    "duplicate_header": ("a,a\n1,2\n", ()),
+    "empty_file": ("", ()),
+}
+
+
+def assert_same_load(path, na_codes):
+    try:
+        expected = reference_load_csv(path, na_codes)
+    except DataError as err:
+        with pytest.raises(DataError) as got:
+            load_csv(path, na_codes)
+        assert str(got.value) == str(err)
+        return
+    got = load_csv(path, na_codes)
+    assert list(got.columns) == list(expected.columns)
+    for name, column in expected.columns.items():
+        assert got.columns[name].dtype == np.float64
+        assert got.columns[name].flags.c_contiguous
+        assert np.array_equal(got.columns[name], column, equal_nan=True), name
+        assert np.array_equal(np.signbit(got.columns[name]), np.signbit(column)), name
+
+
+@pytest.mark.parametrize("case", sorted(READER_EDGE_CASES))
+def test_load_csv_matches_row_reader(tmp_path, case):
+    text, na_codes = READER_EDGE_CASES[case]
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_same_load(str(path), na_codes)
+
+
+def test_load_csv_matches_row_reader_on_benchmark_csv(tmp_path, monkeypatch):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", os.path.join(root, "perfbench", "inputs.py"))
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    data_path, _ = inputs.build("decompose_glm_1m", 5, 2000, str(tmp_path))
+    expected = reference_load_csv(data_path, (-1, -7, -8, -9))
+    assert np.isnan(expected.column("smoke")).any()
+    # a clean file never reaches the row reader
+    monkeypatch.setattr(data, "_read_rows", None)
+    assert_same_load(data_path, (-1, -7, -8, -9))
 
 
 def toy_roles(scale="raw"):
@@ -171,6 +294,18 @@ def test_one_hot_reference_is_first_observed():
     assert set(out.columns) == {"y", "c_1", "c_3"}  # level 2 (first observed) dropped
     assert np.isnan(out.column("c_1")[4])
     assert np.array_equal(out.column("c_1")[:4], [0.0, 1.0, 0.0, 0.0])
+
+    # leading NaNs, levels out of sorted order and a level that first appears last
+    c = np.array([np.nan, 5.0, np.nan, 0.5, 5.0, 10.0, np.nan, 0.5, -2.0])
+    out = one_hot(Dataset({"c": c, "y": np.arange(9.0)}), "c", drop_first=False)
+    assert list(out.columns) == ["y", "c_5", "c_0.5", "c_10", "c_-2"]
+    for name, level in [("c_5", 5.0), ("c_0.5", 0.5), ("c_10", 10.0), ("c_-2", -2.0)]:
+        expected = (c == level).astype(float)
+        expected[np.isnan(c)] = np.nan
+        assert np.array_equal(out.column(name), expected, equal_nan=True)
+    assert list(one_hot(Dataset({"c": c}), "c").columns) == ["c_0.5", "c_10", "c_-2"]
+    with pytest.raises(DataError, match="fewer than 2 observed levels"):
+        one_hot(Dataset({"c": np.array([np.nan, 3.0, 3.0, np.nan])}), "c")
 
 
 def test_role_spec_from_config():

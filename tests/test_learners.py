@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from pathshift import learners
 from pathshift.learners import (
     FittedModel,
     LearnerError,
@@ -112,6 +113,82 @@ def test_logistic_separation_penalized_and_finite():
     preds = model.predict(x)
     assert np.isfinite(preds).all()
     assert preds.min() >= 0.0 and preds.max() <= 1.0
+
+
+def reference_irls(d, y, lam):
+    """IRLS with every product recomputed where it is used, as a fixed reference."""
+    pen = np.eye(d.shape[1]) * lam
+    pen[0, 0] = 0.0
+    beta = np.zeros(d.shape[1])
+    dev = np.inf
+    for it in range(1, 101):
+        eta = d @ beta
+        mu = expit(eta)
+        w = np.clip(mu * (1 - mu), 1e-12, None)
+        z = eta + (y - mu) / w
+        a = (d * w[:, None]).T @ d + pen
+        b = (d * w[:, None]).T @ z
+        try:
+            beta_new = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            return beta, it, False
+        beta = beta_new
+        eta = d @ beta
+        mu = np.clip(expit(eta), 1e-12, 1 - 1e-12)
+        new_dev = -2.0 * float(np.sum(y * np.log(mu) + (1 - y) * np.log(1 - mu)))
+        new_dev += lam * float(beta[1:] @ beta[1:])
+        if abs(dev - new_dev) < 1e-8:
+            return beta, it, True
+        dev = new_dev
+        if np.max(np.abs(eta)) > 30:
+            return beta, it, False
+    return beta, 100, False
+
+
+def logistic_case(case):
+    rng = np.random.default_rng(11)
+    if case == "separated":
+        x = np.linspace(-1, 1, 40)[:, None]
+        return x, (x.ravel() > 0).astype(float)
+    x = rng.standard_normal((3000, 3))
+    return x, (rng.random(3000) < expit(0.3 + x @ np.array([1.0, -0.5, 0.25]))).astype(float)
+
+
+@pytest.mark.parametrize("case", ["smooth", "separated"])
+@pytest.mark.parametrize("lam", [0.0, 1e-4, 1e-2])
+@pytest.mark.parametrize("policy", ["main_effects", "quadratic"])
+def test_logistic_matches_reference_irls(case, lam, policy):
+    x, y = logistic_case(case)
+    d = np.hstack([np.ones((x.shape[0], 1)), expand_features(x, policy)])
+    beta, iters, converged = reference_irls(d, y, lam)
+    if not converged:
+        # the refit at the separation penalty, which is the same run when lam >= 1e-4
+        beta, refit_iters, _ = reference_irls(d, y, max(lam, 1e-4))
+        iters += refit_iters if lam < 1e-4 else 0
+    meta = fit_logistic(x, y, policy, ridge_lambda=lam).training_meta
+    assert np.array_equal(meta["coefficients"], beta)
+    assert meta["iterations"] == iters
+    assert meta["separation_penalized"] == (not converged)
+
+
+@pytest.mark.parametrize("lam, calls", [(0.0, 2), (1e-4, 1), (1e-3, 1)])
+def test_logistic_separation_refits_only_under_a_smaller_penalty(monkeypatch, lam, calls):
+    x, y = logistic_case("separated")
+    seen = []
+    irls = learners._irls
+
+    def counting(d, y, lam):
+        seen.append(lam)
+        return irls(d, y, lam)
+
+    monkeypatch.setattr(learners, "_irls", counting)
+    model = fit_logistic(x, y, ridge_lambda=lam)
+    assert len(seen) == calls
+    assert seen[-1] == max(lam, 1e-4)
+    assert model.training_meta["separation_penalized"]
+    d = np.hstack([np.ones((x.shape[0], 1)), x])
+    beta = reference_irls(d, y, max(lam, 1e-4))[0]
+    assert np.array_equal(model.predict(x), expit(d @ beta))
 
 
 # -- probability range over random inputs -------------------------------------
