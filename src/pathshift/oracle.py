@@ -372,6 +372,8 @@ def cascade_mc(dgp: DiscreteDgp, estimand: EstimandId, n_draws: int, seed: int =
     An oracle independent of :func:`enumerate_gamma`: mediators are drawn at
     the estimand's arms and the outcome at r0, then averaged.
     """
+    if n_draws < 1:
+        raise OracleError(f"Monte-Carlo draws must be >= 1, got {n_draws}")
     estimand.validate(dgp.n_blocks)
     arms = estimand.mediator_arms(dgp.n_blocks)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2718, n_draws]))

@@ -26,7 +26,7 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,20 +99,35 @@ class DgpSpec:
         return 4
 
 
-def _rng(seed: int, stream: int, chunk: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream), int(chunk)]))
+def _generators(streams: dict, seed: int, chunk: int = 0) -> dict:
+    """One generator per random stream, seeded ``(seed, stream, chunk)``."""
+    return {s: np.random.default_rng(np.random.SeedSequence([int(seed), int(s), int(chunk)])) for s in streams}
+
+
+def _draw(gens: dict, streams: dict, n: int) -> dict:
+    """The next n rows of every stream. A stream's generator fills rows in
+    order, so drawing n rows in blocks gives the same values as one draw."""
+    return {s: getattr(gens[s], sampler)((n, cols) if cols else n) for s, (sampler, cols) in streams.items()}
 
 
 # ---------------------------------------------------------------------------
 # sim2: four uniform covariates, normal mediators and outcome
 # ---------------------------------------------------------------------------
 
-def _sim2_columns(spec: DgpSpec, n: int, seed: int, chunk: int = 0, arms: tuple | None = None, r0: int | None = None):
-    """Draw the sim2 cascade; with ``arms`` set, draws the counterfactual one."""
+# stream id -> (sampler, columns per row; 0 for a flat vector). Streams 1 (the
+# group R) and 6 (the outcome noise) are drawn for observed data only.
+_SIM2_STREAMS = {0: ("random", 4), **{s: ("standard_normal", 0) for s in range(2, 6)}}
+_SIM2_OBSERVED = {**_SIM2_STREAMS, 1: ("random", 0), 6: ("standard_normal", 0)}
+
+
+def _sim2_columns(spec: DgpSpec, d: dict, arms: tuple | None = None, r0: int | None = None):
+    """Evaluate the sim2 cascade on the draws ``d``; with ``arms`` set, the
+    counterfactual one."""
     c = spec.coeffs
-    x = _rng(seed, 0, chunk).random((n, 4))
+    x = d[0]
+    n = x.shape[0]
     if arms is None:
-        r = (_rng(seed, 1, chunk).random(n) < expit(np.column_stack([np.ones(n), x]) @ c["V_R"])).astype(float)
+        r = (d[1] < expit(np.column_stack([np.ones(n), x]) @ c["V_R"])).astype(float)
         r_for = [r] * 4
         r_y = r
     else:
@@ -122,16 +137,17 @@ def _sim2_columns(spec: DgpSpec, n: int, seed: int, chunk: int = 0, arms: tuple 
     for k in range(1, 5):
         design = np.column_stack([np.ones(n), x, r_for[k - 1]] + ms)
         mean = design @ c[f"V_M{k}"]
-        ms.append(mean + _rng(seed, 1 + k, chunk).standard_normal(n))
+        ms.append(mean + d[1 + k])
     design_y = np.column_stack([np.ones(n), x, r_y] + ms)
     ey = design_y @ c["V_Y"]
     return x, r_for, ms, ey
 
 
 def _generate_sim2(spec: DgpSpec, n: int, seed: int) -> AnalysisFrame:
-    x, r_for, ms, ey = _sim2_columns(spec, n, seed)
+    d = _draw(_generators(_SIM2_OBSERVED, seed), _SIM2_OBSERVED, n)
+    x, r_for, ms, ey = _sim2_columns(spec, d)
     r = r_for[0]
-    y = ey + _rng(seed, 6).standard_normal(n)
+    y = ey + d[6]
     return AnalysisFrame(
         x=x,
         r=r.astype(np.int8),
@@ -242,15 +258,25 @@ class _Sim2Rows(ExactProvider):
 # sim1: MEPS-like zero-inflated cascade
 # ---------------------------------------------------------------------------
 
-def _sim1_cascade(spec: DgpSpec, n: int, seed: int, chunk: int = 0, arms: tuple | None = None, r0: int | None = None):
-    """Draw the sim1 cascade; returns (x_cols, r, blocks, y_star, extras).
+# stream id -> (sampler, columns per row; 0 for a flat vector). Streams 1 (the
+# group R) and 9 (the positive-part indicator) are drawn for observed data only.
+_SIM1_STREAMS = {
+    0: ("random", 3), 2: ("standard_normal", 2), 3: ("random", 0), 4: ("random", 0),
+    5: ("standard_normal", 2), 6: ("random", 2), 7: ("standard_normal", 2), 8: ("random", 0),
+}
+_SIM1_OBSERVED = {**_SIM1_STREAMS, 1: ("random", 0), 9: ("random", 0)}
+
+
+def _sim1_cascade(spec: DgpSpec, d: dict, arms: tuple | None = None, r0: int | None = None):
+    """Evaluate the sim1 cascade on the draws ``d``; returns (x_cols, r, blocks, y_star).
 
     With ``arms`` given, the cascade is counterfactual: each mediator block
     uses its own arm wherever R enters its equation, and the outcome linear
     predictor uses r0.
     """
     c = spec.coeffs
-    u = _rng(seed, 0, chunk).random((n, 3))
+    u = d[0]
+    n = u.shape[0]
     x1, x2 = 2.0 * u[:, 0], 2.0 * u[:, 1]
     x3 = (u[:, 2] < 0.5).astype(float)
 
@@ -258,7 +284,7 @@ def _sim1_cascade(spec: DgpSpec, n: int, seed: int, chunk: int = 0, arms: tuple 
         feats_r = np.column_stack([
             np.ones(n), np.sqrt(x1), np.sqrt(x1) * x2**1.5 * x3, x2**2, x2 / (1.0 + x1 + x3),
         ])
-        r = (_rng(seed, 1, chunk).random(n) < expit(feats_r @ c["V_R"])).astype(float)
+        r = (d[1] < expit(feats_r @ c["V_R"])).astype(float)
         r_for = [r] * 4
         r_y = r
     else:
@@ -270,28 +296,28 @@ def _sim1_cascade(spec: DgpSpec, n: int, seed: int, chunk: int = 0, arms: tuple 
     r1 = r_for[0]
     mean11 = np.column_stack([np.ones(n), r1, x1 * x2, np.sqrt(x2) * x3, r1 * x3]) @ c["V_M11"]
     mean12 = np.column_stack([np.ones(n), r1, x1**2, x2, x3]) @ c["V_M12"]
-    z1 = _rng(seed, 2, chunk).standard_normal((n, 2)) @ _LATENT_CHOL.T
+    z1 = d[2] @ _LATENT_CHOL.T
     m11 = mean11 + z1[:, 0]
-    m12 = (_rng(seed, 3, chunk).random(n) < expit(mean12 + z1[:, 1])).astype(float)
+    m12 = (d[3] < expit(mean12 + z1[:, 1])).astype(float)
 
     r2 = r_for[1]
     feats2 = np.column_stack([np.ones(n), r2, r2 * x3, r2 * m11, m12 * x2, x1, m11 / (1.0 + x2)])
-    m2 = (_rng(seed, 4, chunk).random(n) < expit(feats2 @ c["V_M2"])).astype(float)
+    m2 = (d[4] < expit(feats2 @ c["V_M2"])).astype(float)
 
     r3 = r_for[2]
     mean31 = np.column_stack([np.ones(n), r3, r3 * m11, m12, r3 * m2, x1, x2, r3 * x3]) @ c["V_M31"]
     mean32 = np.column_stack([np.ones(n), r3, m11, m12, r3 * m2, np.sqrt(x1), x2, x3]) @ c["V_M32"]
-    z3 = _rng(seed, 5, chunk).standard_normal((n, 2)) @ _LATENT_CHOL.T
-    u3 = _rng(seed, 6, chunk).random((n, 2))
+    z3 = d[5] @ _LATENT_CHOL.T
+    u3 = d[6]
     m31 = (u3[:, 0] < expit(mean31 + z3[:, 0])).astype(float)
     m32 = (u3[:, 1] < expit(mean32 + z3[:, 1])).astype(float)
 
     r4 = r_for[3]
     mean41 = np.column_stack([np.ones(n), r4, m11, m12, m2, m31 * m32, r4 * x1, x2, x2 * x3]) @ c["V_M41"]
     mean42 = np.column_stack([np.ones(n), r4, m11, m12, m2, m31 * m32, x1, x2, x3]) @ c["V_M42"]
-    z4 = _rng(seed, 7, chunk).standard_normal((n, 2)) @ _LATENT_CHOL.T
+    z4 = d[7] @ _LATENT_CHOL.T
     m41 = mean41 + z4[:, 0]
-    m42 = (_rng(seed, 8, chunk).random(n) < expit(mean42 + z4[:, 1])).astype(float)
+    m42 = (d[8] < expit(mean42 + z4[:, 1])).astype(float)
 
     feats_y = np.column_stack([
         np.ones(n), r_y, m11 * np.sqrt(x1), m12 * x2**2, m2 * x1**3 * np.sqrt(x2),
@@ -310,8 +336,9 @@ def _sim1_cascade(spec: DgpSpec, n: int, seed: int, chunk: int = 0, arms: tuple 
 
 
 def _generate_sim1(spec: DgpSpec, n: int, seed: int, return_latents: bool = False):
-    x_cols, r, blocks, y_star = _sim1_cascade(spec, n, seed)
-    positive = (_rng(seed, 9).random(n) < expit(y_star)).astype(float)
+    d = _draw(_generators(_SIM1_OBSERVED, seed), _SIM1_OBSERVED, n)
+    x_cols, r, blocks, y_star = _sim1_cascade(spec, d)
+    positive = (d[9] < expit(y_star)).astype(float)
     # positive part is LogNormal(log-mean 0.4 y*, log-sd 0): exactly exp(0.4 y*)
     y_composite = positive * 0.4 * y_star
     frame = AnalysisFrame(
@@ -405,17 +432,44 @@ class RhoSpec:
         return RhoSpec(EstimandId.adv(), EstimandId.dis())
 
 
-def _cascade_values(spec: DgpSpec, r0: int, arms: tuple, m: int, seed: int, chunk_id: int) -> np.ndarray:
-    """Expected outcome given one counterfactual cascade draw, per row.
+TRUTH_CHUNK = 1_000_000
+# Rows per block of a truth chunk: small enough that a block's designs stay in
+# cache. A power of two, so block edges fall on the 4-row groups of OpenBLAS's
+# dgemv kernel, as they do in one product over the whole chunk: the kernel
+# rounds a product's leftover rows differently, and 4,097- or 12,345-row blocks
+# change the last bits of some draws.
+TRUTH_BLOCK = 16_384
 
-    The random streams consumed do not depend on the arms, so two calls with
-    the same (seed, chunk) but different arms are coupled draw by draw.
-    """
+
+def _outcome_mean(spec: DgpSpec, d: dict, r0: int, arms: tuple) -> np.ndarray:
+    """Expected outcome given one counterfactual cascade draw, per row."""
     if spec.kind == "sim2_misspec":
-        _, _, _, ey = _sim2_columns(spec, m, seed, chunk_id, arms=arms, r0=r0)
-        return ey
-    _, _, _, y_star = _sim1_cascade(spec, m, seed, chunk_id, arms=arms, r0=r0)
+        return _sim2_columns(spec, d, arms=arms, r0=r0)[3]
+    y_star = _sim1_cascade(spec, d, arms=arms, r0=r0)[3]
     return expit(y_star) * 0.4 * y_star
+
+
+def _chunk_values(spec: DgpSpec, settings: tuple, m: int, seed: int, chunk: int) -> np.ndarray:
+    """One chunk's m per-draw values of a mean (one arm setting ``(r0, arms)``)
+    or of a contrast (two settings, the first minus the second).
+
+    Every block draws the next rows of each stream once and evaluates every
+    setting on them, so the settings of a contrast are coupled draw by draw.
+    """
+    streams = _SIM2_STREAMS if spec.kind == "sim2_misspec" else _SIM1_STREAMS
+    gens = _generators(streams, seed, chunk)
+    edges = list(range(0, m, TRUTH_BLOCK)) + [m]
+    if len(edges) > 2 and m - edges[-2] == 1:
+        # numpy computes a one-row product as a dot product, which rounds
+        # differently from that row of a longer product: keep a last lone
+        # row in the block before it
+        del edges[-2]
+    out = np.empty(m)
+    for lo, hi in zip(edges, edges[1:]):
+        d = _draw(gens, streams, hi - lo)
+        vals = [_outcome_mean(spec, d, r0, arms) for r0, arms in settings]
+        out[lo:hi] = vals[0] if len(vals) == 1 else vals[0] - vals[1]
+    return out
 
 
 def _enumerated_truth(tables, r0: int, arms: tuple) -> TruthValue:
@@ -425,20 +479,27 @@ def _enumerated_truth(tables, r0: int, arms: tuple) -> TruthValue:
     return TruthValue(float(agg @ tables.p_x), 0.0, 0)
 
 
-def _mc_mean(values, n_draws: int) -> TruthValue:
-    """Monte-Carlo mean and its SE over chunks of at most 10^6 draws;
-    ``values(m, chunk_id)`` returns one chunk's m per-draw values."""
+def _mc_mean(spec: DgpSpec, settings: tuple, n_draws: int, seed: int) -> TruthValue:
+    """Monte-Carlo mean and its SE over chunks of at most ``TRUTH_CHUNK`` draws.
+
+    Chunks run on one thread per usable core (numpy releases the GIL in the
+    bulk work); their sums are added in chunk order, so the result does not
+    depend on the thread count.
+    """
+    if n_draws < 1:
+        raise SimulationError(f"truth draws must be >= 1, got {n_draws}")
+    sizes = [min(TRUTH_CHUNK, n_draws - lo) for lo in range(0, n_draws, TRUTH_CHUNK)]
+
+    def moments(chunk: int) -> tuple[float, float]:
+        vals = _chunk_values(spec, settings, sizes[chunk], seed, chunk)
+        return float(vals.sum()), float((vals**2).sum())
+
     total = 0.0
     total_sq = 0.0
-    done = 0
-    chunk_id = 0
-    while done < n_draws:
-        m = min(1_000_000, n_draws - done)
-        vals = values(m, chunk_id)
-        total += float(vals.sum())
-        total_sq += float((vals**2).sum())
-        done += m
-        chunk_id += 1
+    with ThreadPoolExecutor(max_workers=min(len(sizes), len(os.sched_getaffinity(0)))) as pool:
+        for chunk_sum, chunk_sq in pool.map(moments, range(len(sizes))):
+            total += chunk_sum
+            total_sq += chunk_sq
     mean = total / n_draws
     var = max(total_sq / n_draws - mean**2, 0.0)
     return TruthValue(mean, float(np.sqrt(var / n_draws)), n_draws)
@@ -463,7 +524,7 @@ def counterfactual_truth(
     if spec.kind == "discrete_toy":
         return _enumerated_truth(spec.tables, int(r0), tuple(int(a) for a in r_vector))
 
-    return _mc_mean(lambda m, chunk_id: _cascade_values(spec, r0, tuple(r_vector), m, seed, chunk_id), n_draws)
+    return _mc_mean(spec, ((r0, tuple(r_vector)),), n_draws, seed)
 
 
 def counterfactual_truth_contrast(
@@ -483,11 +544,7 @@ def counterfactual_truth_contrast(
         vb = _enumerated_truth(spec.tables, b[0], tuple(b[1]))
         return TruthValue(va.value - vb.value, 0.0, 0)
 
-    def diff(m: int, chunk_id: int) -> np.ndarray:
-        va = _cascade_values(spec, a[0], tuple(a[1]), m, seed, chunk_id)
-        return va - _cascade_values(spec, b[0], tuple(b[1]), m, seed, chunk_id)
-
-    return _mc_mean(diff, n_draws)
+    return _mc_mean(spec, ((a[0], tuple(a[1])), (b[0], tuple(b[1]))), n_draws, seed)
 
 
 def truth_for(spec: DgpSpec, estimand: "EstimandId | RhoSpec", n_draws: int = 2_000_000, seed: int = 977) -> TruthValue:

@@ -108,6 +108,20 @@ def test_simulate_sim1_single_rep_smoke(tmp_path):
     assert main(args) == 0
 
 
+def test_simulate_rejects_zero_truth_draws(tmp_path, capsys):
+    args = [
+        "simulate", "--dgp", "sim1", "--estimands", "mediator1", "--n", "300", "--reps", "1",
+        "--truth-draws", "0", "--seed", "1", "--threads", "1", "--out", str(tmp_path),
+    ]
+    assert main(args) == 2
+    assert "truth draws must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_oracle_check_rejects_zero_mc_draws(capsys):
+    assert main(["oracle-check", "--mc-draws", "0", "--seed", "1"]) == 2
+    assert "Monte-Carlo draws must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_oracle_check_shipped_fixture_passes(capsys):
     code = main(["oracle-check", "--fixture", fixture_path("toy_k1"), "--mc-draws", "300000", "--seed", "0"])
     assert code == 0

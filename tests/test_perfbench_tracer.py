@@ -4,14 +4,15 @@
 of them breaks traced benchmark runs. Entering and leaving the tracer, with
 no workload run in between, catches that in a second. A small traced
 ``decompose --decomposition both`` run checks that the reports reach the
-traced report builders and fit each nuisance once.
+traced report builders and fit each nuisance once, and a traced truth checks
+that its worker threads cross no traced boundary.
 """
 
 import importlib.util
 import json
 import os
 
-from pathshift import cli
+from pathshift import cli, simulation
 from pathshift.data import build_frame, load_csv, role_spec_from_config
 from pathshift.decomposition import DecompositionConfig, decompose_natural, decompose_sequential
 
@@ -58,3 +59,13 @@ def test_decompose_both_fits_each_nuisance_once(meps_like_csv, tmp_path):
     separate = [decompose_natural(frame, config).to_dict(), decompose_sequential(frame, config).to_dict()]
     payload = json.loads((tmp_path / "decomposition.json").read_text())
     assert payload["reports"] == json.loads(json.dumps(separate))
+
+
+def test_traced_truth_records_only_its_own_span():
+    # the truth threads must call no traced name: the tracer's span stack is
+    # not shared safely between threads
+    tracer = _load_tracer().Tracer()
+    spec = simulation.DgpSpec("sim2_misspec")
+    with tracer:
+        simulation.truth_for(spec, simulation.RhoSpec.mediator(1), n_draws=simulation.TRUTH_CHUNK + 1)
+    assert [span[0] for span in tracer.spans] == ["simulation.truth_for"]

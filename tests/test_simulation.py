@@ -1,11 +1,17 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from pathshift import simulation
 from pathshift.estimators import estimate
 from pathshift.nuisance import EstimandId
 from pathshift.simulation import (
     DgpSpec,
+    TRUTH_CHUNK,
+    RhoSpec,
     Sim2Exact,
     SimReport,
     SimulationError,
@@ -49,6 +55,36 @@ def test_generate_deterministic_and_nested_across_n():
     assert np.array_equal(small.r, big.r[:1000])
     again = generate(spec, 1000, seed=3)
     assert np.array_equal(small.y, again.y)
+
+
+# sha256 of generate(spec, 5000, seed=3)'s arrays, as written before the truth
+# code shared the cascade functions with generate
+GENERATE_SHA256 = {
+    "sim1_meps_like": {
+        "x": "79de5010dd899ef9e9f8a8b3eee0afaf66808675afe8dece3a848730b3f6df48",
+        "r": "da10ce21905856236daa3f4325f1b5270a1c80e1d6e64c6820a00fab5c51f3a4",
+        "y": "f490f5d8bf52e903cea97e15bf268f42e085dee2eaef2dc6dabe74ec76cbb4c5",
+        "m_blocks": "2dae575fe4a6a3e2a197bf7bed4fa497de60e7d15383a0833e4d43852ce15b41",
+    },
+    "sim2_misspec": {
+        "x": "c8dbea5a7e775973d1e09cec76e98a0f091ca635e941e40dc16c840c87113654",
+        "r": "d97e7094ca020a5d6e375c8ef89ac06c7c81fcc3f81ce13a13280ca6e60e3f08",
+        "y": "b36ef452ecedaa29af36d809f6d307b78bbef12a777fb953dfba537b7eb075d2",
+        "m_blocks": "36219051abb1e8ac92c360f664bc7bff10f6344a9fb4ff8235fc3b8a399e11c1",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATE_SHA256))
+def test_generate_bytes_are_pinned(kind):
+    frame = generate(DgpSpec(kind), 5000, seed=3)
+    got = {
+        "x": hashlib.sha256(frame.x.tobytes()).hexdigest(),
+        "r": hashlib.sha256(frame.r.tobytes()).hexdigest(),
+        "y": hashlib.sha256(frame.y.tobytes()).hexdigest(),
+        "m_blocks": hashlib.sha256(b"".join(m.tobytes() for m in frame.m_blocks)).hexdigest(),
+    }
+    assert got == GENERATE_SHA256[kind]
 
 
 def test_sim1_composite_outcome_construction():
@@ -143,6 +179,85 @@ def test_truth_rejects_wrong_arm_length():
         counterfactual_truth(DgpSpec("sim2_misspec"), 0, (0, 0))
 
 
+def _arm_settings(spec, estimand):
+    K = spec.n_blocks
+    parts = (estimand.minuend, estimand.subtrahend) if isinstance(estimand, RhoSpec) else (estimand,)
+    return tuple((e.r0, e.mediator_arms(K)) for e in parts)
+
+
+def _whole_chunk(spec, settings, m, seed, chunk):
+    """Reference per-draw values of one chunk: every stream drawn and each arm
+    setting's cascade evaluated over the whole chunk at once."""
+    streams = simulation._SIM2_STREAMS if spec.kind == "sim2_misspec" else simulation._SIM1_STREAMS
+    d = {}
+    for stream, (sampler, cols) in streams.items():
+        rng = np.random.default_rng(np.random.SeedSequence([seed, stream, chunk]))
+        d[stream] = getattr(rng, sampler)((m, cols) if cols else m)
+    vals = simulation._outcome_mean(spec, d, *settings[0])
+    if len(settings) == 2:
+        vals = vals - simulation._outcome_mean(spec, d, *settings[1])
+    return vals
+
+
+def _serial_truth(chunk_values, n_draws):
+    """Reference: the chunk sums added in a serial loop; hex (value, se)."""
+    total = 0.0
+    total_sq = 0.0
+    for vals in chunk_values:
+        total += float(vals.sum())
+        total_sq += float((vals**2).sum())
+    mean = total / n_draws
+    var = max(total_sq / n_draws - mean**2, 0.0)
+    return mean.hex(), float(np.sqrt(var / n_draws)).hex()
+
+
+# truth_for(..., n_draws=16_385, seed=11) (value, se) as computed by the serial
+# whole-chunk loop before truths ran in blocks
+TRUTH_PINS = {
+    ("sim1_meps_like", "gamma_mediator_2"): ("0x1.1bc238876e656p+0", "0x1.4418bec8b93d2p-7"),
+    ("sim1_meps_like", "rho[gamma_mediator_1-gamma_dis]"): ("0x1.84583e68c1a1cp-3", "0x1.282e8c903e230p-9"),
+    ("sim2_misspec", "gamma_mediator_2"): ("0x1.5c4d6a3d16524p-2", "0x1.2225a8545efd0p-8"),
+    ("sim2_misspec", "rho[gamma_mediator_1-gamma_dis]"): ("0x1.83efd2fafdfc7p-5", "0x0.0p+0"),
+}
+# a single block, a ragged last block, and a ragged second chunk
+PARITY_DRAWS = (1, 16_385, 1_000_001, 2_345_679)
+
+
+@pytest.mark.parametrize("kind", ["sim1_meps_like", "sim2_misspec"])
+@pytest.mark.parametrize("estimand", [EstimandId.mediator(2), RhoSpec.mediator(1)], ids=["mean", "contrast"])
+def test_blocked_threaded_truth_is_bit_identical_to_whole_chunk_loop(kind, estimand, monkeypatch):
+    spec = DgpSpec(kind)
+    settings = _arm_settings(spec, estimand)
+    chunks = {}  # (chunk id, rows) -> reference values; runs share chunk 0
+    reference = []
+    for n in PARITY_DRAWS:
+        keys = [(c, min(TRUTH_CHUNK, n - lo)) for c, lo in enumerate(range(0, n, TRUTH_CHUNK))]
+        for chunk, m in keys:
+            if (chunk, m) not in chunks:
+                chunks[(chunk, m)] = _whole_chunk(spec, settings, m, 11, chunk)
+        reference.append(_serial_truth([chunks[key] for key in keys], n))
+    assert reference[1] == TRUTH_PINS[(kind, estimand.label)]
+    # per draw, too: a sum can absorb a last-bit change in a few rows. (With a
+    # multi-threaded BLAS, the reference's whole-chunk products split across
+    # threads; at these chunk sizes and two BLAS threads, the splits fall on
+    # the kernel's row groups, so the reference keeps its one-thread bits.)
+    for (chunk, m), vals in chunks.items():
+        assert simulation._chunk_values(spec, settings, m, 11, chunk).tobytes() == vals.tobytes()
+
+    def blocked():
+        return [(t.value.hex(), t.se.hex()) for t in (truth_for(spec, estimand, n, seed=11) for n in PARITY_DRAWS)]
+
+    assert blocked() == reference
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert blocked() == reference
+
+
+def test_truth_rejects_nonpositive_draws():
+    for n_draws in (0, -5):
+        with pytest.raises(SimulationError, match=f"got {n_draws}"):
+            truth_for(DgpSpec("sim2_misspec"), EstimandId.direct(), n_draws=n_draws)
+
+
 # -- grid ---------------------------------------------------------------------------
 
 def test_run_grid_single_rep_degenerate_aggregation():
@@ -178,6 +293,23 @@ def test_run_grid_reproducible():
     a = run_grid(spec, **kwargs)
     b = run_grid(spec, **kwargs)
     assert a.to_json() == b.to_json()
+
+
+def test_run_grid_report_is_the_same_with_a_process_pool():
+    # the pool forks after the truth threads have run
+    spec = DgpSpec("sim1_meps_like")
+    kwargs = dict(
+        estimands=(EstimandId.mediator(1), RhoSpec.direct()),
+        n_list=(400,),
+        reps=4,
+        methods=(glm_method(),),
+        base_seed=8,
+        truth_draws=20_000,
+    )
+    serial = run_grid(spec, n_jobs=1, **kwargs)
+    pooled = run_grid(spec, n_jobs=2, **kwargs)
+    assert serial.cells[0].failures == 0
+    assert serial.to_json() == pooled.to_json()
 
 
 def test_run_grid_records_failures_and_continues():
