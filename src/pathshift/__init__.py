@@ -19,7 +19,6 @@ from .decomposition import (
     decompose,
     decompose_natural,
     decompose_sequential,
-    smearing_adjust,
     to_geometric_scale,
 )
 from .oracle import DiscreteDgp, MediatorTable, cascade_mc, enumerate_gamma, exact_nuisances, one_step_population_value
@@ -32,7 +31,6 @@ from .simulation import (
     counterfactual_truth,
     counterfactual_truth_contrast,
     generate,
-    misspecify_covariates,
     run_grid,
     robustness_conditions,
     truth_for,

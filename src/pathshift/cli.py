@@ -210,8 +210,10 @@ def cmd_simulate(args) -> int:
     estimands = _parse_estimands(args.estimands)
     n_list = tuple(int(v) for v in args.n.split(","))
 
-    if args.conditions in ("robustness", "table1"):
-        methods = {e.label: robustness_conditions(e) + (glm_method(), glm_false_method()) for e in estimands}
+    if args.conditions == "robustness":
+        methods = {
+            e.label: robustness_conditions(e, spec.n_blocks) + (glm_method(), glm_false_method()) for e in estimands
+        }
     elif args.conditions == "correct":
         methods = (glm_method(),)
     elif args.conditions == "false":
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--estimands", default="direct,mediator1,mediator2,mediator3,mediator4")
     p_sim.add_argument("--n", default="1000", help="comma-separated sample sizes")
     p_sim.add_argument("--reps", type=int, default=100)
-    p_sim.add_argument("--conditions", default="correct", help="correct | false | robustness (alias: table1) | sl")
+    p_sim.add_argument("--conditions", default="correct", help="correct | false | robustness | sl")
     p_sim.add_argument("--truth-draws", type=int, default=2_000_000)
     p_sim.add_argument("--out", default=".")
     p_sim.add_argument("--seed", type=int, default=None)

@@ -149,22 +149,6 @@ def to_geometric_scale(c: DisparityComponent) -> DisparityComponent:
     )
 
 
-def smearing_adjust(log_scale_diff: float, residuals: np.ndarray, normal: bool = False) -> float:
-    """Retransformation toward the arithmetic scale: exp(diff) times a smearing factor.
-
-    The empirical factor is mean(exp(residuals)); with ``normal=True`` the
-    lognormal-moment variant exp(var/2) is used instead.
-    """
-    residuals = np.asarray(residuals, dtype=float)
-    if not np.isfinite(residuals).all():
-        raise DecompositionError("smearing residuals must be finite")
-    if normal:
-        factor = float(np.exp(np.var(residuals) / 2.0))
-    else:
-        factor = float(np.mean(np.exp(residuals)))
-    return float(np.exp(log_scale_diff)) * factor
-
-
 @dataclass(frozen=True)
 class DecompositionConfig:
     learners: NuisanceLearners = field(default_factory=NuisanceLearners)

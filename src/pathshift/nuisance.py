@@ -198,29 +198,30 @@ def _seed_from(seed: int, key: tuple) -> int:
 class _Level:
     """One fitted regression level of a chain, with its fold models.
 
-    ``top`` is b0 of the chain that owns the level: route names are the
-    level's label followed by it ("mu3", "B3", "C_B3").
+    ``depth`` is the level's index j in its chain (0 for the outcome level),
+    so its route name is Q{depth}.
     """
 
     key: tuple
     label: str
-    top: int
+    depth: int
     prefix: int
     models: list = field(default_factory=list)
     oof: np.ndarray | None = None
 
     @property
     def name(self) -> str:
-        return f"{self.label}{self.top}"
+        return f"Q{self.depth}"
 
 
 class NuisanceCache:
     """Memoized nuisance fits shared across the estimands of one analysis run.
 
-    ``route`` optionally maps nuisance names ("pi", "g" or "g3", "mu", "B",
-    "C_B", "C_mu", or with the chain's b0 appended) to "false", replacing the
+    ``route`` optionally maps nuisance names to "false", replacing the
     covariate matrix with ``x_alt`` for that regression; used by the
-    misspecification grid.
+    misspecification grid. Names are keyed by position in the chain: "pi",
+    "g{k}" for g_k = P(R=1|M_1..k, X), and "Q{j}" for chain level j (Q0 is
+    the outcome regression); a bare "g" or "Q" names all of them.
     """
 
     def __init__(
@@ -368,16 +369,17 @@ class NuisanceCache:
 
     def _mu_entry(self, k: int, r0: int) -> _Level:
         """Outcome level E[Y | M_1..k, X, R=r0]."""
-        key = ("mu", k, r0, self._variant(f"mu{k}"))
+        key = ("mu", k, r0, self._variant("Q0"))
         if key not in self._store:
-            self._store[key] = self._fit(_Level(key, "mu", k, k), r0, None)
+            self._store[key] = self._fit(_Level(key, "mu", 0, k), r0, None)
         return self._store[key]
 
     def _regress(self, label: str, parent: _Level, prefix: int, stratum: int) -> _Level:
         """Regression of a parent level onto M_1..prefix and X within R = stratum."""
-        key = (label, prefix, stratum, self._variant(f"{label}{parent.top}"), parent.key)
+        depth = parent.depth + 1
+        key = (label, prefix, stratum, self._variant(f"Q{depth}"), parent.key)
         if key not in self._store:
-            self._store[key] = self._fit(_Level(key, label, parent.top, prefix), stratum, parent)
+            self._store[key] = self._fit(_Level(key, label, depth, prefix), stratum, parent)
         return self._store[key]
 
     # The three kinds of pseudo-outcome level keep their own method names, so

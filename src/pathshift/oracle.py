@@ -214,13 +214,6 @@ class ExactNuisances:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(a1 + a0 > 0, a1 / (a1 + a0), np.nan)
 
-    def density_ratio_table(self, k: int) -> np.ndarray:
-        """p(m_k | earlier, R=1, x) / p(m_k | earlier, R=0, x) on the grid."""
-        t1 = self.dgp.mediators[k - 1].table[:, 1]
-        t0 = self.dgp.mediators[k - 1].table[:, 0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(t0 > 0, t1 / t0, np.nan)
-
     def integrate(self, table: np.ndarray, prefix: int, arm: int) -> np.ndarray:
         """Integrate blocks prefix+1.. out of a table over (x, m_1..m_k), each at
         its law under the given arm: shape (sx, s_1..s_prefix)."""

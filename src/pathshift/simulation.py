@@ -388,11 +388,6 @@ def misspecified_matrix(frame: AnalysisFrame) -> np.ndarray:
     return out
 
 
-def misspecify_covariates(frame: AnalysisFrame) -> AnalysisFrame:
-    names = tuple(f"{c}_false" for c in frame.covariate_names)
-    return frame.with_covariates(misspecified_matrix(frame), names)
-
-
 @dataclass(frozen=True)
 class TruthValue:
     value: float
@@ -472,13 +467,6 @@ def _chunk_values(spec: DgpSpec, settings: tuple, m: int, seed: int, chunk: int)
     return out
 
 
-def _enumerated_truth(tables, r0: int, arms: tuple) -> TruthValue:
-    agg = tables._grid_weight(arms) * tables.ey_grid(int(r0))
-    for ax in range(agg.ndim - 1, 0, -1):
-        agg = agg.sum(axis=ax)
-    return TruthValue(float(agg @ tables.p_x), 0.0, 0)
-
-
 def _mc_mean(spec: DgpSpec, settings: tuple, n_draws: int, seed: int) -> TruthValue:
     """Monte-Carlo mean and its SE over chunks of at most ``TRUTH_CHUNK`` draws.
 
@@ -522,7 +510,7 @@ def counterfactual_truth(
     if len(r_vector) != spec.n_blocks:
         raise SimulationError("r_vector length must match the number of blocks")
     if spec.kind == "discrete_toy":
-        return _enumerated_truth(spec.tables, int(r0), tuple(int(a) for a in r_vector))
+        return TruthValue(oracle_mod.enumerate_gamma(spec.tables, EstimandId.shift(r0, r_vector)), 0.0, 0)
 
     return _mc_mean(spec, ((r0, tuple(r_vector)),), n_draws, seed)
 
@@ -540,9 +528,9 @@ def counterfactual_truth_contrast(
     difference's Monte-Carlo error far smaller than for independent draws.
     """
     if spec.kind == "discrete_toy":
-        va = _enumerated_truth(spec.tables, a[0], tuple(a[1]))
-        vb = _enumerated_truth(spec.tables, b[0], tuple(b[1]))
-        return TruthValue(va.value - vb.value, 0.0, 0)
+        va = oracle_mod.enumerate_gamma(spec.tables, EstimandId.shift(*a))
+        vb = oracle_mod.enumerate_gamma(spec.tables, EstimandId.shift(*b))
+        return TruthValue(va - vb, 0.0, 0)
 
     return _mc_mean(spec, ((a[0], tuple(a[1])), (b[0], tuple(b[1]))), n_draws, seed)
 
@@ -565,7 +553,7 @@ def truth_for(spec: DgpSpec, estimand: "EstimandId | RhoSpec", n_draws: int = 2_
 # replication grid
 # ---------------------------------------------------------------------------
 
-ALL_FALSE_ROUTE = (("pi", "false"), ("g", "false"), ("mu", "false"), ("B", "false"), ("C_B", "false"), ("C_mu", "false"))
+ALL_FALSE_ROUTE = (("pi", "false"), ("g", "false"), ("Q", "false"))
 
 
 @dataclass(frozen=True)
@@ -591,36 +579,32 @@ def sl_method(name: str = "sl") -> MethodSpec:
     return MethodSpec(name=name, learners=NuisanceLearners(binary=default_binary_sl(), continuous=default_continuous_sl()))
 
 
-def robustness_conditions(estimand: EstimandId) -> tuple[MethodSpec, ...]:
-    """The estimand's multiply-robust conditions: in each, only the listed
-    nuisances keep the correct covariates and all others use x_false."""
+def robustness_conditions(estimand: EstimandId, n_blocks: int) -> tuple[MethodSpec, ...]:
+    """The estimand's multiply-robust conditions, read off its chain of levels
+    (p_j, t_j), j = 0..J (Rotnitzky, Robins & Babino 2017).
+
+    Condition t = 0..J+1 keeps Q_0..Q_{t-1} correct and, for t <= J, every
+    factor of the weight W_t: pi and, for each later level l with t_l != t_t,
+    g at p_{l-1} and at p_l (a prefix of 0 means pi). Every other nuisance
+    uses x_false. The condition is named ``robust_c{t+1}_`` followed by what
+    it keeps: pi, then g{k} by decreasing k, then Q{j} by increasing j.
+    """
     if not isinstance(estimand, EstimandId):
         raise SimulationError("the misspecification grid applies to counterfactual means, not contrasts")
-
-    def cond(tag: str, false_names: tuple[str, ...]) -> MethodSpec:
-        return glm_method(f"robust_{tag}", tuple((nm, "false") for nm in false_names))
-
-    if estimand.kind == "direct":
-        return (
-            cond("c1_pi_g", ("mu", "C_mu")),
-            cond("c2_pi_mu", ("g", "C_mu")),
-            cond("c3_cmu_mu", ("pi", "g")),
-        )
-    if estimand.kind == "mediator" and estimand.k == 1:
-        return (
-            cond("c1_pi_g", ("mu", "C_mu")),
-            cond("c2_pi_mu", ("g", "C_mu")),
-            cond("c3_b_mu", ("pi", "g")),
-        )
-    if estimand.kind == "mediator":
-        k = estimand.k
-        return (
-            cond("c1_pi_gg", ("mu", "B", "C_B")),
-            cond("c2_pi_gprev_mu", (f"g{k}", "B", "C_B")),
-            cond("c3_pi_b_mu", (f"g{k}", f"g{k-1}", "C_B")),
-            cond("c4_cb_b_mu", ("pi", f"g{k}", f"g{k-1}")),
-        )
-    raise SimulationError(f"no misspecification grid is defined for {estimand.label}")
+    chain = estimand.chain(n_blocks)
+    names = ["pi"] + [f"g{p}" for p, _ in chain if p] + [f"Q{j}" for j in range(len(chain))]
+    conditions = []
+    for t in range(len(chain) + 1):
+        kept = {f"Q{j}" for j in range(t)}
+        if t < len(chain):
+            kept.add("pi")
+            for l in range(t + 1, len(chain)):
+                if chain[l][1] != chain[t][1]:
+                    kept.update(f"g{p}" for p in (chain[l - 1][0], chain[l][0]) if p)
+        tag = "_".join(nm for nm in names if nm in kept)
+        route = tuple((nm, "false") for nm in names if nm not in kept)
+        conditions.append(glm_method(f"robust_c{t + 1}_{tag}", route))
+    return tuple(conditions)
 
 
 @dataclass(frozen=True)
@@ -757,7 +741,8 @@ def run_grid(
     ``methods`` is either one tuple applied to all estimands or a mapping
     from estimand label to its own tuple (as the robustness grid needs).
     Replicate seeds are ``base_seed + rep``; failures are recorded per cell
-    and the run continues. ``oracle_centering`` (sim2 only) additionally
+    and the run continues. A method that routes any nuisance to x_false is
+    rejected up front unless the DGP is sim2, the only one that defines it. ``oracle_centering`` (sim2 only) additionally
     reports bias measured against the exact-influence-function control
     variate, which strips the leading Monte-Carlo noise from the bias
     estimate without changing its expectation.
@@ -766,6 +751,12 @@ def run_grid(
         raise SimulationError("reps must be >= 1")
     if oracle_centering and spec.kind != "sim2_misspec":
         raise SimulationError("oracle centering requires the sim2 DGP")
+    method_lists = methods.values() if isinstance(methods, dict) else (methods,)
+    for method in (m for ms in method_lists for m in ms):
+        if spec.kind != "sim2_misspec" and any(v == "false" for _, v in method.route):
+            raise SimulationError(
+                f"method {method.name!r} routes nuisances to x_false, which the {spec.kind} DGP does not define"
+            )
     truths = dict(truths or {})
     for estimand in estimands:
         if estimand.label not in truths:

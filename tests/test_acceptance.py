@@ -80,7 +80,7 @@ def sim2_grid(sim2_truths):
 @pytest.fixture(scope="session")
 def robustness_grid(sim2_truths):
     spec = DgpSpec("sim2_misspec")
-    methods = {e.label: robustness_conditions(e) + (glm_false_method(),) for e in GAMMAS}
+    methods = {e.label: robustness_conditions(e, spec.n_blocks) + (glm_false_method(),) for e in GAMMAS}
     report = run_grid(
         spec, GAMMAS, (8000,), reps=300, methods=methods,
         base_seed=TABLE1_SEED, truths=sim2_truths, n_jobs=N_JOBS,

@@ -169,16 +169,27 @@ def test_decompose_incomplete_config_messages(meps_like_csv, tmp_path, capsys):
         assert f"config group '{key}' must be a number" in capsys.readouterr().err
 
 
-def test_simulate_robustness_alias(tmp_path):
+def test_simulate_robustness_conditions(tmp_path):
     args = [
         "simulate", "--dgp", "sim2", "--estimands", "mediator1", "--n", "300",
-        "--reps", "2", "--conditions", "table1", "--truth-draws", "50000",
+        "--reps", "2", "--conditions", "robustness", "--truth-draws", "50000",
         "--seed", "2", "--threads", "1", "--out", str(tmp_path),
     ]
     assert main(args) == 0
     payload = json.loads((tmp_path / "simreport.json").read_text())
     methods = {c["method"] for c in payload["cells"]}
-    assert {"robust_c1_pi_g", "robust_c2_pi_mu", "robust_c3_b_mu", "glm_correct", "glm_false"} == methods
+    assert {"robust_c1_pi_g1", "robust_c2_pi_Q0", "robust_c3_Q0_Q1", "glm_correct", "glm_false"} == methods
+
+
+def test_simulate_rejects_misspecification_without_x_false(tmp_path, capsys):
+    args = [
+        "simulate", "--dgp", "sim1", "--estimands", "mediator1", "--n", "300", "--reps", "1",
+        "--conditions", "false", "--truth-draws", "1000", "--seed", "1", "--threads", "1", "--out", str(tmp_path),
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "'glm_false'" in err and "sim1_meps_like" in err
+    assert not (tmp_path / "simreport.json").exists()
 
 
 def test_simulate_rho_estimand_token(tmp_path):

@@ -11,7 +11,6 @@ from pathshift.decomposition import (
     decompose,
     decompose_natural,
     decompose_sequential,
-    smearing_adjust,
     to_geometric_scale,
 )
 from pathshift.estimators import estimate
@@ -80,18 +79,6 @@ def test_geometric_scale_identity_and_delta_method():
     assert geo2.p_value == c.p_value
     with pytest.raises(DecompositionError, match="difference-scale"):
         to_geometric_scale(geo2)
-
-
-def test_smearing_adjustments():
-    assert smearing_adjust(0.3, np.zeros(100)) == pytest.approx(np.exp(0.3), abs=1e-12)
-    rng = np.random.default_rng(3)
-    resid = rng.normal(0.0, 0.7, 200_000)
-    assert smearing_adjust(0.0, resid) == pytest.approx(np.exp(0.49 / 2), rel=0.01)
-    # normal-error variant with sd 0.5: multiplier exp(0.125)
-    resid_half = np.array([-0.5, 0.5])
-    assert smearing_adjust(0.0, resid_half, normal=True) == pytest.approx(np.exp(0.125), abs=1e-12)
-    with pytest.raises(DecompositionError, match="finite"):
-        smearing_adjust(0.0, np.array([np.nan]))
 
 
 # -- full decompositions ----------------------------------------------------------

@@ -243,6 +243,18 @@ def test_exact_key_route_overrides_generic():
     assert not np.array_equal(cache.g(2), plain.g(2))
 
 
+def test_level_route_follows_chain_depth():
+    frame = generate(DgpSpec("sim2_misspec"), 800, seed=18)
+    from pathshift.simulation import misspecified_matrix
+
+    cache = NuisanceCache(frame, seed=7, x_alt=misspecified_matrix(frame), route={"Q1": "false"})
+    routed = fit_all(frame, EstimandId.mediator(2), cache=cache)
+    plain = fit_all(frame, EstimandId.mediator(2), seed=7)
+    assert np.array_equal(routed.Q[0], plain.Q[0])
+    assert not np.array_equal(routed.Q[1], plain.Q[1])
+    assert np.array_equal(routed.g[2], plain.g[2])
+
+
 def test_crossfit_vs_none_within_two_se_on_sim2():
     from pathshift.estimators import estimate
 

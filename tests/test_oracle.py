@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from pathshift.nuisance import EstimandId
+from pathshift.estimators import gamma_summands
+from pathshift.nuisance import EstimandId, fit_all
 from pathshift.oracle import (
     DiscreteDgp,
     ExactNuisances,
     MediatorTable,
     OracleError,
+    SampledStates,
+    _configurations,
+    _ExactRows,
     cascade_mc,
     enumerate_gamma,
     exact_nuisances,
@@ -17,6 +21,7 @@ from pathshift.oracle import (
     population_frame,
     sample,
 )
+from pathshift.simulation import robustness_conditions
 from pathshift.toys import FIXTURES, toy_dyadic_k2, toy_k1, toy_k2, toy_k4
 
 
@@ -138,6 +143,69 @@ def test_one_step_identity_with_perturbed_regressions(builder, monkeypatch):
         assert gap < 1e-10, estimand.label
 
 
+class _MisspecifiedRows(_ExactRows):
+    """Exact nuisances, except that every table named in ``false`` is
+    perturbed as a whole, so it stays a function of its conditioning set:
+    pi and g_k by U(-0.2, 0.2) clipped to [0.05, 0.95], chain level j (Q{j})
+    by N(0, 0.5^2)."""
+
+    def __init__(self, exact, states, false, rng):
+        super().__init__(exact, states)
+        self.false = false
+        self.rng = rng
+
+    def _shake(self, table):
+        return np.clip(table + self.rng.uniform(-0.2, 0.2, table.shape), 0.05, 0.95)
+
+    def pi(self):
+        table = self.exact.pi_table()
+        return self.rows(self._shake(table) if "pi" in self.false else table)
+
+    def g(self, k):
+        table = self.exact.g_table(k)
+        return self.rows(self._shake(table) if f"g{k}" in self.false else table)
+
+    def level(self, parent, prefix, arm):
+        self.depth = 0 if parent is None else self.depth + 1
+        table = super().level(parent, prefix, arm)
+        if f"Q{self.depth}" in self.false:
+            table = table + self.rng.normal(0.0, 0.5, table.shape)
+        return table
+
+
+def misspecified_population_value(dgp, estimand, false, rng):
+    """one_step_population_value with the nuisances in ``false`` perturbed."""
+    x_idx, r_idx, m_idx, y_idx, prob = _configurations(dgp)
+    live = prob > 0
+    states = SampledStates(x_idx=x_idx[live], m_idx=[m[live] for m in m_idx], y_idx=y_idx[live])
+    q = fit_all(None, estimand, cache=_MisspecifiedRows(exact_nuisances(dgp), states, false, rng))
+    h = gamma_summands(dgp.y_values[y_idx[live]], r_idx[live], q)
+    return float(np.sum(prob[live] * h))
+
+
+@pytest.mark.parametrize("builder", [toy_k1, toy_k2, toy_k4])
+def test_robustness_conditions_hold_at_the_population(builder):
+    """Under each multiply-robust condition the one-step mean is the truth,
+    however wrong the nuisances it routes false are. As a control, also
+    breaking the highest-prefix g that a condition keeps must move the mean
+    away from the truth in some case."""
+    dgp = builder()
+    rng = np.random.default_rng(23)
+    worst_control = 0.0
+    for estimand in every_arm_vector(dgp):
+        enum = enumerate_gamma(dgp, estimand)
+        g_names = [f"g{p}" for p, _ in estimand.chain(dgp.n_blocks) if p]
+        for condition in robustness_conditions(estimand, dgp.n_blocks):
+            false = {name for name, _ in condition.route}
+            gap = abs(misspecified_population_value(dgp, estimand, false, rng) - enum)
+            assert gap < 1e-10, (estimand.label, condition.name)
+            kept_g = [name for name in g_names if name not in false]
+            if kept_g:
+                broken = misspecified_population_value(dgp, estimand, false | {kept_g[0]}, rng)
+                worst_control = max(worst_control, abs(broken - enum))
+    assert worst_control > 1e-3
+
+
 def test_cascade_mc_agrees_with_enumeration():
     dgp = toy_k1()
     for estimand in [EstimandId.dis(), EstimandId.direct(), EstimandId.mediator(1)]:
@@ -153,7 +221,8 @@ def test_density_ratio_equals_g_odds_ratio():
     for k in range(1, dgp.n_blocks + 1):
         g_k = ex.g_table(k)
         g_prev = ex.g_table(k - 1) if k >= 2 else pi.reshape((-1,))
-        ratio = ex.density_ratio_table(k)
+        table = dgp.mediators[k - 1].table
+        ratio = table[:, 1] / table[:, 0]
         odds = g_k / (1.0 - g_k)
         prev_odds_inv = ((1.0 - g_prev) / g_prev).reshape(g_prev.shape + (1,))
         assert np.nanmax(np.abs(odds * prev_odds_inv - ratio)) < 1e-12

@@ -10,6 +10,7 @@ from pathshift.estimators import estimate
 from pathshift.nuisance import EstimandId
 from pathshift.simulation import (
     DgpSpec,
+    MethodSpec,
     TRUTH_CHUNK,
     RhoSpec,
     Sim2Exact,
@@ -20,7 +21,6 @@ from pathshift.simulation import (
     glm_false_method,
     glm_method,
     misspecified_matrix,
-    misspecify_covariates,
     run_grid,
     robustness_conditions,
     truth_for,
@@ -129,16 +129,17 @@ def test_misspecified_transform_keeps_rows_distinct():
 def test_misspecify_needs_four_covariates():
     frame = generate(DgpSpec("sim1_meps_like"), 50, seed=8)
     with pytest.raises(SimulationError, match="4 covariates"):
-        misspecify_covariates(frame)
+        misspecified_matrix(frame)
 
 
 def test_misspecify_replaces_only_covariates():
     frame = generate(DgpSpec("sim2_misspec"), 100, seed=9)
-    out = misspecify_covariates(frame)
-    assert not np.array_equal(out.x, frame.x)
-    assert np.array_equal(out.y, frame.y)
-    assert np.array_equal(out.m_blocks[2], frame.m_blocks[2])
-    assert out.covariate_names == ("x1_false", "x2_false", "x3_false", "x4_false")
+    x = frame.x.copy()
+    out = misspecified_matrix(frame)
+    assert out.shape == x.shape
+    assert np.array_equal(out[:, 0], x[:, 0] ** 2)
+    assert np.array_equal(out[:, 1], np.exp(x[:, 1]))
+    assert np.array_equal(frame.x, x)
 
 
 # -- truths -------------------------------------------------------------------------
@@ -313,14 +314,14 @@ def test_run_grid_report_is_the_same_with_a_process_pool():
 
 
 def test_run_grid_records_failures_and_continues():
-    # sim1 has 3 covariates: the misspecification transform fails on purpose
+    # a truncation level outside [0, 0.5) fails every replicate's nuisance cache
     spec = DgpSpec("sim1_meps_like")
     report = run_grid(
         spec,
         (EstimandId.mediator(1),),
         (300,),
         reps=3,
-        methods=(glm_false_method(),),
+        methods=(MethodSpec("bad_delta", delta=0.7),),
         base_seed=0,
         truths={"gamma_mediator_1": truth_for(spec, EstimandId.mediator(1), n_draws=100_000)},
     )
@@ -344,19 +345,34 @@ def test_oracle_centering_requires_sim2():
 
 
 def test_robustness_condition_shapes():
-    assert len(robustness_conditions(EstimandId.direct())) == 3
-    k1 = robustness_conditions(EstimandId.mediator(1))
-    assert len(k1) == 3
-    # for k = 1 the last regression level is fit onto X from mu_1
-    assert [set(dict(c.route)) for c in k1] == [{"mu", "C_mu"}, {"g", "C_mu"}, {"pi", "g"}]
+    K = 4
+    names = {
+        EstimandId.dis(): ["robust_c1_pi", "robust_c2_Q0"],
+        EstimandId.direct(): ["robust_c1_pi_g4", "robust_c2_pi_Q0", "robust_c3_Q0_Q1"],
+        EstimandId.mediator(1): ["robust_c1_pi_g1", "robust_c2_pi_Q0", "robust_c3_Q0_Q1"],
+        EstimandId.mediator(2): ["robust_c1_pi_g2_g1", "robust_c2_pi_g1_Q0", "robust_c3_pi_Q0_Q1", "robust_c4_Q0_Q1_Q2"],
+    }
+    for estimand, expected in names.items():
+        assert [c.name for c in robustness_conditions(estimand, K)] == expected
+    # whatever a condition does not keep is routed false, by chain position
+    assert [dict(c.route) for c in robustness_conditions(EstimandId.mediator(2), K)] == [
+        {"Q0": "false", "Q1": "false", "Q2": "false"},
+        {"g2": "false", "Q1": "false", "Q2": "false"},
+        {"g2": "false", "g1": "false", "Q2": "false"},
+        {"pi": "false", "g2": "false", "g1": "false"},
+    ]
     for k in (2, 3, 4):
-        conditions = robustness_conditions(EstimandId.mediator(k))
+        conditions = robustness_conditions(EstimandId.mediator(k), K)
         assert len(conditions) == 4
         # the fully-robust fourth condition misspecifies pi and both g's
-        false_keys = dict(conditions[3].route)
-        assert set(false_keys) == {"pi", f"g{k}", f"g{k-1}"}
+        assert set(dict(conditions[3].route)) == {"pi", f"g{k}", f"g{k-1}"}
+    # J + 2 conditions for a chain of J + 1 levels
+    counts = {EstimandId.dis(): 2, EstimandId.adv(): 2, EstimandId.shift(0, (1, 0, 1, 1)): 5}
+    counts.update({EstimandId.sequential(k): 3 for k in range(1, K + 1)})
+    for estimand, count in counts.items():
+        assert len(robustness_conditions(estimand, K)) == count, estimand.label
     with pytest.raises(SimulationError):
-        robustness_conditions(EstimandId.dis())
+        robustness_conditions(RhoSpec.mediator(1), K)
 
 
 def test_simreport_roundtrip_and_csv_and_curves(tmp_path):
