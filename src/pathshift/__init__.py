@@ -21,15 +21,13 @@ from .decomposition import (
     decompose_sequential,
     to_geometric_scale,
 )
-from .oracle import DiscreteDgp, MediatorTable, cascade_mc, enumerate_gamma, exact_nuisances, one_step_population_value
+from .oracle import DiscreteDgp, MediatorTable, cascade_mc, enumerate_gamma, one_step_population_value
 from .simulation import (
     DgpSpec,
     MethodSpec,
     RhoSpec,
     SimReport,
     TruthValue,
-    counterfactual_truth,
-    counterfactual_truth_contrast,
     generate,
     run_grid,
     robustness_conditions,

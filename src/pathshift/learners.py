@@ -24,6 +24,7 @@ LEARNER_KINDS = ("mean", "linear", "logistic", "ridge", "boosted_stumps", "knn",
 LOGISTIC_TOL = 1e-8
 LOGISTIC_MAX_ITER = 100
 SEPARATION_RIDGE = 1e-4
+WEIGHT_SOLVER_TOL = 1e-12
 
 
 class LearnerError(ValueError):
@@ -410,7 +411,6 @@ class SuperLearnerConfig:
     candidates: tuple[LearnerSpec, ...]
     cv_folds: int = 5
     loss: str = "squared_error"
-    weight_solver_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.candidates:
@@ -546,7 +546,7 @@ def fit_super_learner(
     z = np.column_stack(z_cols)
     if binary:
         z = np.clip(z, 0.0, 1.0)
-    weights = solve_simplex_weights(z, y, cfg.loss, cfg.weight_solver_tol)
+    weights = solve_simplex_weights(z, y, cfg.loss, WEIGHT_SOLVER_TOL)
 
     if cfg.loss == "log_loss":
         zc = np.clip(z, 1e-12, 1 - 1e-12)

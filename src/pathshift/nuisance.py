@@ -296,10 +296,10 @@ class NuisanceCache:
 
     # -- fits ---------------------------------------------------------------
 
-    def pi(self) -> np.ndarray:
-        key = ("pi", self._variant("pi"))
+    def _binary(self, name: str, prefix: int, key: tuple) -> np.ndarray:
+        """Fold-wise P(R = 1 | M_1..prefix, X), clipped, cached under ``key``."""
         if key not in self._store:
-            feats = self._covariates("pi")
+            feats = self._features(name, prefix)
             resp = self.frame.r.astype(float)
             oof = np.empty(self.frame.n)
             for train_mask, test_mask in self._splits():
@@ -310,24 +310,14 @@ class NuisanceCache:
                     "probability", self._seed(key), strata=resp[train_mask],
                 )
                 oof[test_mask] = model.predict(feats[test_mask])
-            self._store[key] = self._clip("pi", oof)
-        return self._store[key]
-
-    def g(self, k: int) -> np.ndarray:
-        name = f"g{k}"
-        key = ("g", k, self._variant(name))
-        if key not in self._store:
-            feats = np.hstack([self.frame.m_upto(k), self._covariates(name)])
-            resp = self.frame.r.astype(float)
-            oof = np.empty(self.frame.n)
-            for train_mask, test_mask in self._splits():
-                model = train(
-                    self.learners.binary, feats[train_mask], resp[train_mask],
-                    "probability", self._seed(key), strata=resp[train_mask],
-                )
-                oof[test_mask] = model.predict(feats[test_mask])
             self._store[key] = self._clip(name, oof)
         return self._store[key]
+
+    def pi(self) -> np.ndarray:
+        return self._binary("pi", 0, ("pi", self._variant("pi")))
+
+    def g(self, k: int) -> np.ndarray:
+        return self._binary(f"g{k}", k, ("g", k, self._variant(f"g{k}")))
 
     def _outcome_model(self, feats: np.ndarray, resp: np.ndarray, seed: int):
         scale = self.frame.scale_applied

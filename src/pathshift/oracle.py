@@ -253,10 +253,6 @@ class _ExactRows(ExactProvider):
         return self.exact.integrate(parent, prefix, arm)
 
 
-def exact_nuisances(dgp: DiscreteDgp) -> ExactNuisances:
-    return ExactNuisances(dgp)
-
-
 def _configurations(dgp: DiscreteDgp):
     """Every observed-data configuration as flat (x, r, mediator, y) category
     indices, with its probability under the DGP."""
@@ -286,7 +282,7 @@ def one_step_population_value(dgp: DiscreteDgp, estimand: EstimandId) -> float:
     x_idx, r_idx, m_idx, y_idx, prob = _configurations(dgp)
     live = prob > 0
     states = SampledStates(x_idx=x_idx[live], m_idx=[m[live] for m in m_idx], y_idx=y_idx[live])
-    q = exact_nuisances(dgp).nuisance_set(states, estimand)
+    q = ExactNuisances(dgp).nuisance_set(states, estimand)
     h = gamma_summands(dgp.y_values[y_idx[live]], r_idx[live], q)
     return float(np.sum(prob[live] * h))
 

@@ -12,6 +12,10 @@ the enumeration oracle:
   misspecification can be injected by swapping in the transformed covariates
   x_false = (x1^2, e^x2, x3^0.3, (x4 + x3^0.3)/(e^x2 + x1^2)).
 
+``truth_for(spec, target)`` is the one route to a ground truth: discrete
+toys are enumerated exactly, and the other DGPs are simulated by Monte Carlo
+over the structural cascade, with a contrast's two means sharing their draws.
+
 ``run_grid`` replicates estimation over (estimand x n x method) cells with
 per-replicate seeds ``base_seed + rep`` and aggregates bias/SD/MSE/coverage
 and the root-n-scaled diagnostics. For sim2 the generating model is linear-
@@ -201,6 +205,7 @@ class Sim2Exact:
         return form
 
     def gamma(self, estimand: EstimandId) -> float:
+        estimand.validate(4)
         arms = estimand.mediator_arms(4)
         form = self._fold_r(self.y_form, estimand.r0)
         for j in range(4, 0, -1):
@@ -358,8 +363,11 @@ def _generate_sim1(spec: DgpSpec, n: int, seed: int, return_latents: bool = Fals
 def generate(spec: DgpSpec, n: int, seed: int | None = None, return_latents: bool = False):
     """Draw an analysis-ready frame from the DGP; deterministic given the seed.
 
-    Sampling streams are per variable, so for a fixed seed the n-row draw is
-    a prefix of any larger draw (handy for comparing sample sizes).
+    For sim1 and sim2 the sampling streams are per variable, so for a fixed
+    seed the n-row draw matches the first n rows of a larger draw, except in
+    the last bits of some mediator and outcome values: OpenBLAS's dgemv
+    rounds a product's leftover rows (past its 4-row groups) differently.
+    Discrete toys draw afresh for each n.
     """
     if n < 1:
         raise SimulationError("n must be >= 1")
@@ -427,6 +435,16 @@ class RhoSpec:
         return RhoSpec(EstimandId.adv(), EstimandId.dis())
 
 
+def _means(target: "EstimandId | RhoSpec") -> tuple[EstimandId, ...]:
+    """The counterfactual means a target is made of: ``(e,)`` or ``(minuend, subtrahend)``."""
+    return (target.minuend, target.subtrahend) if isinstance(target, RhoSpec) else (target,)
+
+
+def _difference(values):
+    """A target's value from its :func:`_means`' values: the one value, or the first minus the second."""
+    return values[0] if len(values) == 1 else values[0] - values[1]
+
+
 TRUTH_CHUNK = 1_000_000
 # Rows per block of a truth chunk: small enough that a block's designs stay in
 # cache. A power of two, so block edges fall on the 4-row groups of OpenBLAS's
@@ -462,8 +480,7 @@ def _chunk_values(spec: DgpSpec, settings: tuple, m: int, seed: int, chunk: int)
     out = np.empty(m)
     for lo, hi in zip(edges, edges[1:]):
         d = _draw(gens, streams, hi - lo)
-        vals = [_outcome_mean(spec, d, r0, arms) for r0, arms in settings]
-        out[lo:hi] = vals[0] if len(vals) == 1 else vals[0] - vals[1]
+        out[lo:hi] = _difference([_outcome_mean(spec, d, r0, arms) for r0, arms in settings])
     return out
 
 
@@ -493,60 +510,22 @@ def _mc_mean(spec: DgpSpec, settings: tuple, n_draws: int, seed: int) -> TruthVa
     return TruthValue(mean, float(np.sqrt(var / n_draws)), n_draws)
 
 
-def counterfactual_truth(
-    spec: DgpSpec,
-    r0: int,
-    r_vector: tuple[int, ...],
-    n_draws: int = 2_000_000,
-    seed: int = 977,
-) -> TruthValue:
-    """Ground-truth counterfactual mean by simulating the structural cascade.
+def truth_for(spec: DgpSpec, target: "EstimandId | RhoSpec", n_draws: int = 2_000_000, seed: int = 977) -> TruthValue:
+    """Ground truth of a counterfactual mean or of a contrast of two.
 
-    For continuous DGPs the outcome's conditional mean given the cascade is
-    averaged (same estimand, smaller Monte-Carlo error); sim1 truths are on
-    the composite indicator-times-log scale the estimators target. Discrete
-    DGPs are enumerated exactly instead.
+    Discrete DGPs are enumerated exactly. Otherwise the outcome's conditional
+    mean given a simulated cascade is averaged (same estimand, smaller
+    Monte-Carlo error); sim1 truths are on the composite indicator-times-log
+    scale the estimators target. A contrast's two means share their random
+    streams draw by draw, which makes its Monte-Carlo error far smaller than
+    for independent draws.
     """
-    if len(r_vector) != spec.n_blocks:
-        raise SimulationError("r_vector length must match the number of blocks")
-    if spec.kind == "discrete_toy":
-        return TruthValue(oracle_mod.enumerate_gamma(spec.tables, EstimandId.shift(r0, r_vector)), 0.0, 0)
-
-    return _mc_mean(spec, ((r0, tuple(r_vector)),), n_draws, seed)
-
-
-def counterfactual_truth_contrast(
-    spec: DgpSpec,
-    a: "tuple[int, tuple[int, ...]]",
-    b: "tuple[int, tuple[int, ...]]",
-    n_draws: int = 2_000_000,
-    seed: int = 977,
-) -> TruthValue:
-    """Truth of a difference of counterfactual means with coupled cascades.
-
-    Sharing the random streams between the two arm settings makes the
-    difference's Monte-Carlo error far smaller than for independent draws.
-    """
-    if spec.kind == "discrete_toy":
-        va = oracle_mod.enumerate_gamma(spec.tables, EstimandId.shift(*a))
-        vb = oracle_mod.enumerate_gamma(spec.tables, EstimandId.shift(*b))
-        return TruthValue(va - vb, 0.0, 0)
-
-    return _mc_mean(spec, ((a[0], tuple(a[1])), (b[0], tuple(b[1]))), n_draws, seed)
-
-
-def truth_for(spec: DgpSpec, estimand: "EstimandId | RhoSpec", n_draws: int = 2_000_000, seed: int = 977) -> TruthValue:
     K = spec.n_blocks
-    estimand.validate(K)
-    if isinstance(estimand, RhoSpec):
-        return counterfactual_truth_contrast(
-            spec,
-            (estimand.minuend.r0, estimand.minuend.mediator_arms(K)),
-            (estimand.subtrahend.r0, estimand.subtrahend.mediator_arms(K)),
-            n_draws,
-            seed,
-        )
-    return counterfactual_truth(spec, estimand.r0, estimand.mediator_arms(K), n_draws, seed)
+    target.validate(K)
+    means = _means(target)
+    if spec.kind == "discrete_toy":
+        return TruthValue(_difference([oracle_mod.enumerate_gamma(spec.tables, e) for e in means]), 0.0, 0)
+    return _mc_mean(spec, tuple((e.r0, e.mediator_arms(K)) for e in means), n_draws, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -707,16 +686,13 @@ def _run_one_rep(args):
 
         out = {}
         for target in targets:
-            if isinstance(target, RhoSpec):
-                a, hbar_a = gamma_est(target.minuend)
-                b, hbar_b = gamma_est(target.subtrahend)
-                c = contrast(a, b, target.label, alpha)
-                hbar = None if hbar_a is None else hbar_a - hbar_b
-                out[target.label] = (c.point, c.ci[0], c.ci[1], hbar)
+            ests, hbars = zip(*map(gamma_est, _means(target)))
+            if len(ests) == 1:
+                point, (lo, hi) = ests[0].point, ests[0].ci(alpha)
             else:
-                est, hbar = gamma_est(target)
-                lo, hi = est.ci(alpha)
-                out[target.label] = (est.point, lo, hi, hbar)
+                c = contrast(*ests, target.label, alpha)
+                point, (lo, hi) = c.point, c.ci
+            out[target.label] = (point, lo, hi, None if exact is None else _difference(hbars))
         return ("ok", out)
     except Exception as err:  # noqa: BLE001 - a failed replicate must not kill the grid
         return ("error", repr(err))
@@ -742,15 +718,15 @@ def run_grid(
     from estimand label to its own tuple (as the robustness grid needs).
     Replicate seeds are ``base_seed + rep``; failures are recorded per cell
     and the run continues. A method that routes any nuisance to x_false is
-    rejected up front unless the DGP is sim2, the only one that defines it. ``oracle_centering`` (sim2 only) additionally
-    reports bias measured against the exact-influence-function control
-    variate, which strips the leading Monte-Carlo noise from the bias
-    estimate without changing its expectation.
+    rejected up front unless the DGP is sim2, the only one that defines it.
+    ``oracle_centering`` (sim2 only) additionally reports bias measured
+    against the exact-influence-function control variate, which strips the
+    leading Monte-Carlo noise from the bias estimate without changing its
+    expectation.
     """
     if reps < 1:
         raise SimulationError("reps must be >= 1")
-    if oracle_centering and spec.kind != "sim2_misspec":
-        raise SimulationError("oracle centering requires the sim2 DGP")
+    exact = Sim2Exact(spec) if oracle_centering else None  # raises unless the DGP is sim2
     method_lists = methods.values() if isinstance(methods, dict) else (methods,)
     for method in (m for ms in method_lists for m in ms):
         if spec.kind != "sim2_misspec" and any(v == "false" for _, v in method.route):
@@ -763,13 +739,8 @@ def run_grid(
             truths[estimand.label] = truth_for(spec, estimand, truth_draws, truth_seed)
 
     gamma_exact = {}
-    if oracle_centering:
-        exact = Sim2Exact(spec)
-        for e in estimands:
-            if isinstance(e, RhoSpec):
-                gamma_exact[e.label] = exact.gamma(e.minuend) - exact.gamma(e.subtrahend)
-            else:
-                gamma_exact[e.label] = exact.gamma(e)
+    if exact is not None:
+        gamma_exact = {e.label: _difference([exact.gamma(m) for m in _means(e)]) for e in estimands}
 
     # with a shared method list, all estimands run on the same replicate data;
     # a per-estimand method mapping (robustness grid) runs cells separately

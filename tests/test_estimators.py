@@ -5,7 +5,7 @@ from pathshift.data import AnalysisFrame
 from pathshift.estimators import EstimationError, estimate, gamma_summands, gamma_terms
 from pathshift.learners import LearnerSpec
 from pathshift.nuisance import EstimandId, NuisanceCache, NuisanceLearners, NuisanceSet, fit_all
-from pathshift.oracle import enumerate_gamma, exact_nuisances, population_frame, sample
+from pathshift.oracle import ExactNuisances, enumerate_gamma, population_frame, sample
 from pathshift.simulation import DgpSpec, Sim2Exact, generate
 from pathshift.toys import toy_dyadic_k2, toy_k1, toy_k2, toy_k4
 
@@ -66,7 +66,7 @@ def test_nonfinite_weight_raises():
 def test_exact_nuisance_estimates_hit_enumeration_within_3_se(builder):
     dgp = builder()
     frame, states = sample(dgp, 100_000, seed=31)
-    ex = exact_nuisances(dgp)
+    ex = ExactNuisances(dgp)
     estimands = [EstimandId.dis(), EstimandId.adv(), EstimandId.direct()]
     estimands += [EstimandId.mediator(k) for k in range(1, dgp.n_blocks + 1)]
     for estimand in estimands:
@@ -79,7 +79,7 @@ def test_exact_nuisance_estimates_hit_enumeration_within_3_se(builder):
 def test_population_plug_in_of_exact_C_matches_truth():
     # population mean of the exact last regression level equals the functional
     dgp = toy_k2()
-    ex = exact_nuisances(dgp)
+    ex = ExactNuisances(dgp)
     estimands = [EstimandId.shift(r0, (a1, a2)) for r0 in (0, 1) for a1 in (0, 1) for a2 in (0, 1)]
     for estimand in estimands + [EstimandId.direct(), EstimandId.mediator(1), EstimandId.mediator(2)]:
         chain = estimand.chain(dgp.n_blocks)
@@ -289,7 +289,7 @@ def test_direct_estimator_constant_outcome_null_group():
 def test_exact_nuisance_unbiasedness_at_one_million_rows():
     dgp = toy_k1()
     frame, states = sample(dgp, 1_000_000, seed=60)
-    ex = exact_nuisances(dgp)
+    ex = ExactNuisances(dgp)
     for estimand in [EstimandId.direct(), EstimandId.mediator(1)]:
         q = ex.nuisance_set(states, estimand)
         est = estimate(frame, q)

@@ -4,7 +4,7 @@ import pytest
 from pathshift.data import AnalysisFrame
 from pathshift.learners import LearnerSpec
 from pathshift.nuisance import EstimandId, NuisanceCache, NuisanceError, NuisanceLearners, fit_all
-from pathshift.oracle import exact_nuisances, population_frame
+from pathshift.oracle import ExactNuisances, population_frame
 from pathshift.simulation import DgpSpec, Sim2Exact, generate
 from pathshift.toys import toy_dyadic_k2
 
@@ -140,7 +140,7 @@ def test_two_part_outcome_model_used_on_log_positive_scale():
 def test_saturated_nuisances_match_enumeration_tables():
     dgp = toy_dyadic_k2()
     frame, states = population_frame(dgp, 2 * 4 * 8 * 8 * 8)
-    ex = exact_nuisances(dgp)
+    ex = ExactNuisances(dgp)
     cache = NuisanceCache(frame, SATURATED, delta=0.0, seed=0)
 
     pi_exact = ex.pi_table()[states.x_idx]

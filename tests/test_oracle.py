@@ -16,7 +16,6 @@ from pathshift.oracle import (
     _ExactRows,
     cascade_mc,
     enumerate_gamma,
-    exact_nuisances,
     one_step_population_value,
     population_frame,
     sample,
@@ -83,7 +82,7 @@ def test_sequential_K_equals_direct_exactly():
 
 
 def test_arm_swap_mirrors_gamma_values():
-    from pathshift.simulation import DgpSpec, counterfactual_truth
+    from pathshift.simulation import DgpSpec, truth_for
 
     dgp = toy_k2()
     swapped = DiscreteDgp(
@@ -98,8 +97,8 @@ def test_arm_swap_mirrors_gamma_values():
     spec_swapped = DgpSpec("discrete_toy", tables=swapped)
     for r0 in (0, 1):
         for arms in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-            a = counterfactual_truth(spec, r0, arms).value
-            flipped = counterfactual_truth(spec_swapped, 1 - r0, tuple(1 - a for a in arms)).value
+            a = truth_for(spec, EstimandId.shift(r0, arms)).value
+            flipped = truth_for(spec_swapped, EstimandId.shift(1 - r0, tuple(1 - a for a in arms))).value
             assert abs(a - flipped) < 1e-12
 
 
@@ -178,7 +177,7 @@ def misspecified_population_value(dgp, estimand, false, rng):
     x_idx, r_idx, m_idx, y_idx, prob = _configurations(dgp)
     live = prob > 0
     states = SampledStates(x_idx=x_idx[live], m_idx=[m[live] for m in m_idx], y_idx=y_idx[live])
-    q = fit_all(None, estimand, cache=_MisspecifiedRows(exact_nuisances(dgp), states, false, rng))
+    q = fit_all(None, estimand, cache=_MisspecifiedRows(ExactNuisances(dgp), states, false, rng))
     h = gamma_summands(dgp.y_values[y_idx[live]], r_idx[live], q)
     return float(np.sum(prob[live] * h))
 
@@ -216,7 +215,7 @@ def test_cascade_mc_agrees_with_enumeration():
 
 def test_density_ratio_equals_g_odds_ratio():
     dgp = toy_k4()
-    ex = exact_nuisances(dgp)
+    ex = ExactNuisances(dgp)
     pi = dgp.p_r1
     for k in range(1, dgp.n_blocks + 1):
         g_k = ex.g_table(k)
@@ -230,7 +229,7 @@ def test_density_ratio_equals_g_odds_ratio():
 
 def test_mu_K_is_outcome_table_mean():
     dgp = toy_k2()
-    ex = exact_nuisances(dgp)
+    ex = ExactNuisances(dgp)
     mu = ex.mu_table(dgp.n_blocks, r0=1)
     direct = dgp.p_y[:, 1] @ dgp.y_values
     assert np.allclose(mu, direct, atol=1e-14)
@@ -239,7 +238,7 @@ def test_mu_K_is_outcome_table_mean():
 def test_exact_nuisance_set_lookup_matches_tables():
     dgp = toy_k2()
     frame, states = sample(dgp, 500, seed=9)
-    ex = exact_nuisances(dgp)
+    ex = ExactNuisances(dgp)
     q = ex.nuisance_set(states, EstimandId.mediator(2))
     g2 = ex.g_table(2)
     manual = g2[states.x_idx, states.m_idx[0], states.m_idx[1]]
@@ -271,7 +270,7 @@ def test_population_frame_reproduces_population_moments():
     frame, states = population_frame(dgp, scale)
     assert frame.n == scale
     # empirical E[Y | m1, m2, r, x] equals the table values exactly
-    ex = exact_nuisances(dgp)
+    ex = ExactNuisances(dgp)
     mu = ex.mu_table(2, r0=1)
     rows = (frame.r == 1) & (frame.x[:, 0] == 0.0) & (frame.m_blocks[0][:, 0] == 1.0) & (frame.m_blocks[1][:, 0] == 0.0)
     assert abs(frame.y[rows].mean() - mu[0, 1, 0]) < 1e-12

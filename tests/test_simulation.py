@@ -7,7 +7,7 @@ from scipy.special import expit
 
 from pathshift import simulation
 from pathshift.estimators import estimate
-from pathshift.nuisance import EstimandId
+from pathshift.nuisance import EstimandId, NuisanceError
 from pathshift.simulation import (
     DgpSpec,
     MethodSpec,
@@ -16,7 +16,6 @@ from pathshift.simulation import (
     Sim2Exact,
     SimReport,
     SimulationError,
-    counterfactual_truth,
     generate,
     glm_false_method,
     glm_method,
@@ -146,7 +145,7 @@ def test_misspecify_replaces_only_covariates():
 
 def test_counterfactual_truth_all_zero_arms_is_reference_mean():
     spec = DgpSpec("sim2_misspec")
-    truth = counterfactual_truth(spec, 0, (0, 0, 0, 0), n_draws=500_000, seed=1)
+    truth = truth_for(spec, EstimandId.shift(0, (0, 0, 0, 0)), n_draws=500_000, seed=1)
     exact = Sim2Exact(spec).gamma(EstimandId.dis())
     assert abs(truth.value - exact) <= 4 * truth.se
 
@@ -170,14 +169,27 @@ def test_discrete_truth_is_exact_enumeration():
     spec = DgpSpec("discrete_toy", tables=toy_k1())
     from pathshift.oracle import enumerate_gamma
 
-    truth = counterfactual_truth(spec, 0, (1,))
+    truth = truth_for(spec, EstimandId.shift(0, (1,)))
     assert truth.se == 0.0
     assert truth.value == pytest.approx(enumerate_gamma(toy_k1(), EstimandId.mediator(1)), abs=1e-14)
 
 
 def test_truth_rejects_wrong_arm_length():
-    with pytest.raises(SimulationError, match="length"):
-        counterfactual_truth(DgpSpec("sim2_misspec"), 0, (0, 0))
+    spec = DgpSpec("sim2_misspec")
+    with pytest.raises(NuisanceError, match="expected K=4"):
+        truth_for(spec, EstimandId.shift(0, (0, 0)))
+    # a contrast's means are validated too: a 5-arm minuend is not dropped to 4 arms
+    with pytest.raises(NuisanceError, match="expected K=4"):
+        truth_for(spec, RhoSpec(EstimandId.shift(0, (0, 0, 0, 0, 1)), EstimandId.dis()), n_draws=1000)
+
+
+def test_sim2_exact_gamma_validates_its_estimand():
+    exact = Sim2Exact(DgpSpec("sim2_misspec"))
+    with pytest.raises(NuisanceError, match="exceeds K=4"):
+        exact.gamma(EstimandId.mediator(5))
+    for arms in [(0, 0, 0, 0, 1), (0, 0)]:
+        with pytest.raises(NuisanceError, match="expected K=4"):
+            exact.gamma(EstimandId.shift(0, arms))
 
 
 def _arm_settings(spec, estimand):
@@ -342,6 +354,26 @@ def test_oracle_centering_requires_sim2():
             oracle_centering=True,
             truths={"gamma_dis": truth_for(DgpSpec("sim1_meps_like"), EstimandId.dis(), n_draws=50_000)},
         )
+
+
+def test_oracle_centering_on_sim2_centres_means_and_contrasts(tmp_path):
+    spec = DgpSpec("sim2_misspec")
+    targets = (EstimandId.mediator(2), RhoSpec.mediator(1))
+    reps = 8
+    report = run_grid(
+        spec, targets, (800,), reps=reps, methods=(glm_method(),), base_seed=5,
+        truth_draws=200_000, oracle_centering=True,
+    )
+    for target in targets:
+        cell = report.cell(target.label, 800, "glm_correct")
+        assert cell.failures == 0
+        assert np.isfinite(cell.bias_centered)
+        # the control variate strips the replicate noise: the centred bias sits
+        # well inside the naive bias's own Monte-Carlo error
+        assert abs(cell.bias_centered) < cell.sd / np.sqrt(reps), target.label
+    for path in report.curve_files(str(tmp_path)):
+        n, _, _, centered = open(path, encoding="utf-8").read().splitlines()[1].split()
+        assert n == "800" and np.isfinite(float(centered))
 
 
 def test_robustness_condition_shapes():
