@@ -271,7 +271,10 @@ def cmd_oracle_check(args) -> int:
         gap = abs(enum - onestep)
         worst_exact = max(worst_exact, gap)
         mc, mc_se = cascade_mc(dgp, estimand, args.mc_draws, seed)
-        mc_gap_sigmas = abs(mc - enum) / mc_se if mc_se > 0 else 0.0
+        if mc_se > 0:
+            mc_gap_sigmas = abs(mc - enum) / mc_se
+        else:  # a constant draw matches only if it hits the enumerated mean
+            mc_gap_sigmas = 0.0 if abs(mc - enum) < ORACLE_TOL else float("inf")
         worst_mc = max(worst_mc, mc_gap_sigmas)
         ok = gap < ORACLE_TOL and mc_gap_sigmas <= ORACLE_MC_SIGMAS
         failed |= not ok

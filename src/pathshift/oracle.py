@@ -73,6 +73,14 @@ class DiscreteDgp:
         return self.p_x.shape[0]
 
     def validate(self) -> None:
+        arrays = {"x_values": self.x_values, "p_x": self.p_x, "p_r1": self.p_r1}
+        for k, med in enumerate(self.mediators, start=1):
+            arrays[f"mediator {k} values"] = med.values
+            arrays[f"mediator {k} table"] = med.table
+        arrays.update(y_values=self.y_values, p_y=self.p_y)
+        for name, array in arrays.items():
+            if not np.isfinite(array).all():
+                raise OracleError(f"{name} has non-finite entries")
         sx, sizes, sy = self.sx, self.sizes, self.y_values.shape[0]
         n_states = sx * 2 * int(np.prod(sizes)) * sy
         if n_states > MAX_STATES:
@@ -296,25 +304,45 @@ class SampledStates:
     y_idx: np.ndarray
 
 
-def _draw_categorical(prob_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    cdf = np.cumsum(prob_rows, axis=1)
-    u = rng.random(prob_rows.shape[0])
-    idx = (u[:, None] > cdf).sum(axis=1)
-    return np.minimum(idx, prob_rows.shape[1] - 1)
+def _cumulative(table: np.ndarray) -> np.ndarray:
+    """Running sums over a table's last axis as ``(categories, rows)``: entry
+    ``[j, row]`` is P(category <= j) in the row-major flattened row ``row``."""
+    return np.ascontiguousarray(np.cumsum(table, axis=-1).reshape(-1, table.shape[-1]).T)
+
+
+def _cascade(cdfs: list[np.ndarray], row, rng: np.random.Generator, n: int):
+    """Draw one category per level, levels in order, from cumulative tables;
+    yields each level's categories.
+
+    ``row`` is the flat index of each draw's row in the first table (``0`` for
+    a one-row table); after a level with s categories it becomes
+    ``row * s + category``, the row of the next table. A category is the
+    number of cumulative entries below its uniform, capped at s - 1. Every
+    entry is counted, so a CDF made non-monotone by an entry just below zero
+    (see ``TABLE_TOL``) draws as it would from the rows' own running sums.
+    """
+    for level, cdf in enumerate(cdfs):
+        u = rng.random(n)
+        idx = np.zeros(n, dtype=np.intp)
+        for column in cdf:
+            idx += u > column.take(row)
+        yield np.minimum(idx, cdf.shape[0] - 1, out=idx)
+        if level + 1 < len(cdfs):
+            row = row * cdf.shape[0] + idx
 
 
 def sample(dgp: DiscreteDgp, n: int, seed: int = 0) -> tuple[AnalysisFrame, SampledStates]:
-    """Draw n observations from the observed-data law of the DGP."""
+    """Draw n observations from the observed-data law of the DGP.
+
+    One generator seeded ``(seed, n)`` draws n uniforms for X, then R, then
+    each mediator in order, then Y. Categories come from cumulative tables
+    over the full ``(sx, 2, ...)`` tables, indexed by each row's flat history.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
-    x_idx = _draw_categorical(np.tile(dgp.p_x, (n, 1)), rng)
-    pi = dgp.p_r1[x_idx]
-    r = (rng.random(n) < pi).astype(np.int8)
-    m_idx: list[np.ndarray] = []
-    for k, med in enumerate(dgp.mediators, start=1):
-        rows = med.table[(x_idx, r) + tuple(m_idx)]
-        m_idx.append(_draw_categorical(rows, rng))
-    y_rows = dgp.p_y[(x_idx, r) + tuple(m_idx)]
-    y_idx = _draw_categorical(y_rows, rng)
+    (x_idx,) = _cascade([_cumulative(dgp.p_x)], 0, rng, n)
+    r = (rng.random(n) < dgp.p_r1[x_idx]).astype(np.int8)
+    cdfs = [_cumulative(med.table) for med in dgp.mediators] + [_cumulative(dgp.p_y)]
+    *m_idx, y_idx = _cascade(cdfs, x_idx * 2 + r, rng, n)
 
     frame = AnalysisFrame(
         x=dgp.x_values[x_idx],
@@ -358,29 +386,28 @@ def population_frame(dgp: DiscreteDgp, scale: int) -> tuple[AnalysisFrame, Sampl
 def cascade_mc(dgp: DiscreteDgp, estimand: EstimandId, n_draws: int, seed: int = 0) -> tuple[float, float]:
     """Monte-Carlo mean of the counterfactual cascade; returns (mean, se).
 
-    An oracle independent of :func:`enumerate_gamma`: mediators are drawn at
-    the estimand's arms and the outcome at r0, then averaged.
+    An oracle independent of :func:`enumerate_gamma`: X is drawn from its
+    law, each mediator at the estimand's arm and Y at r0, then Y is averaged.
+    One generator seeded ``(seed, 2718, n_draws)`` serves chunks of up to 10^6
+    draws; a chunk takes one uniform per draw for X, then for each mediator,
+    then for Y. The cumulative tables are built once per call.
     """
     if n_draws < 1:
         raise OracleError(f"Monte-Carlo draws must be >= 1, got {n_draws}")
     estimand.validate(dgp.n_blocks)
     arms = estimand.mediator_arms(dgp.n_blocks)
+    cdfs = [_cumulative(dgp.p_x)]
+    cdfs += [_cumulative(med.table[:, arm]) for med, arm in zip(dgp.mediators, arms)]
+    cdfs.append(_cumulative(dgp.p_y[:, estimand.r0]))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2718, n_draws]))
     total = 0.0
     total_sq = 0.0
     done = 0
-    chunk = min(n_draws, 1_000_000)
     while done < n_draws:
-        m = min(chunk, n_draws - done)
-        x_idx = _draw_categorical(np.tile(dgp.p_x, (m, 1)), rng)
-        m_idx: list[np.ndarray] = []
-        for k, med in enumerate(dgp.mediators, start=1):
-            arm = np.full(m, arms[k - 1])
-            rows = med.table[(x_idx, arm) + tuple(m_idx)]
-            m_idx.append(_draw_categorical(rows, rng))
-        r0 = np.full(m, estimand.r0)
-        y_rows = dgp.p_y[(x_idx, r0) + tuple(m_idx)]
-        y = dgp.y_values[_draw_categorical(y_rows, rng)]
+        m = min(1_000_000, n_draws - done)
+        for y_idx in _cascade(cdfs, 0, rng, m):
+            pass  # only the outcome level is kept
+        y = dgp.y_values[y_idx]
         total += float(y.sum())
         total_sq += float((y**2).sum())
         done += m

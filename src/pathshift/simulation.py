@@ -27,6 +27,8 @@ control variate to measure small biases precisely (``oracle_centering``).
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import io
 import json
 import os
@@ -653,6 +655,20 @@ class SimReport:
         return written
 
 
+def _one_blas_thread() -> None:
+    """Pin the OpenBLAS that numpy loaded to one thread in a pool worker, so
+    n_jobs workers do not each run a BLAS thread per core. Does nothing when
+    numpy ships no OpenBLAS or the library has no thread setter."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter(1)
+                break
+
+
 def _run_one_rep(args):
     """One replicate: generate data once and estimate every requested target
     from a shared nuisance cache (propensity and g fits are common).
@@ -755,7 +771,7 @@ def run_grid(
         cell_specs = [(tuple(estimands), n, method) for n in n_list for method in methods]
 
     cells: list[CellResult] = []
-    executor = ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else None
+    executor = ProcessPoolExecutor(max_workers=n_jobs, initializer=_one_blas_thread) if n_jobs > 1 else None
     try:
         for cell_estimands, n, method in cell_specs:
             tasks = [

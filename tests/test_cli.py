@@ -133,6 +133,33 @@ def test_oracle_check_k4_fixture_passes():
     assert main(["oracle-check", "--fixture", fixture_path("toy_k4"), "--mc-draws", "100000", "--seed", "0"]) == 0
 
 
+def test_oracle_check_fails_a_zero_se_draw_off_the_mean(capsys):
+    # one draw of a binary Y is 0 or 1, while every enumerated mean is near 0.55
+    code = main(["oracle-check", "--fixture", fixture_path("toy_k4"), "--mc-draws", "1", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count("mc_gap= inf sigma  [FAIL]") == 11 and "[ok]" not in out
+
+
+def test_oracle_check_passes_a_zero_se_draw_on_the_mean(tmp_path, capsys):
+    payload = toy_k1().to_dict()
+    payload["y_values"] = [2.0, 2.0]  # every counterfactual mean is 2
+    constant = tmp_path / "constant.json"
+    constant.write_text(json.dumps(payload))
+    assert main(["oracle-check", "--fixture", str(constant), "--mc-draws", "1", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("mc_gap=0.00 sigma  [ok]") == 5
+
+
+def test_oracle_check_rejects_a_nan_fixture(tmp_path, capsys):
+    payload = toy_k1().to_dict()
+    payload["p_x"][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["oracle-check", "--fixture", str(bad)]) == 1
+    assert "invalid fixture" in capsys.readouterr().err
+
+
 def test_oracle_check_corrupted_fixture_fails(tmp_path, capsys):
     payload = toy_k1().to_dict()
     payload["p_y"][0][0][0] = [0.45, 0.45]  # row sum 0.9

@@ -213,6 +213,135 @@ def test_cascade_mc_agrees_with_enumeration():
         assert abs(mc - enum) <= 4 * se
 
 
+def _draw_categorical(prob_rows, rng):
+    cdf = np.cumsum(prob_rows, axis=1)
+    u = rng.random(prob_rows.shape[0])
+    idx = (u[:, None] > cdf).sum(axis=1)
+    return np.minimum(idx, prob_rows.shape[1] - 1)
+
+
+def reference_cascade_mc(dgp, estimand, n_draws, seed=0):
+    """The row-by-row sampler that ``cascade_mc`` replaced, kept as its reference."""
+    arms = estimand.mediator_arms(dgp.n_blocks)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2718, n_draws]))
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    chunk = min(n_draws, 1_000_000)
+    while done < n_draws:
+        m = min(chunk, n_draws - done)
+        x_idx = _draw_categorical(np.tile(dgp.p_x, (m, 1)), rng)
+        m_idx = []
+        for k, med in enumerate(dgp.mediators, start=1):
+            arm = np.full(m, arms[k - 1])
+            rows = med.table[(x_idx, arm) + tuple(m_idx)]
+            m_idx.append(_draw_categorical(rows, rng))
+        r0 = np.full(m, estimand.r0)
+        y_rows = dgp.p_y[(x_idx, r0) + tuple(m_idx)]
+        y = dgp.y_values[_draw_categorical(y_rows, rng)]
+        total += float(y.sum())
+        total_sq += float((y**2).sum())
+        done += m
+    mean = total / n_draws
+    var = max(total_sq / n_draws - mean**2, 0.0)
+    return mean, float(np.sqrt(var / n_draws))
+
+
+def reference_sample_indices(dgp, n, seed=0):
+    """Category indices from the row-by-row sampler that ``sample`` replaced."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+    x_idx = _draw_categorical(np.tile(dgp.p_x, (n, 1)), rng)
+    r = (rng.random(n) < dgp.p_r1[x_idx]).astype(np.int8)
+    m_idx = []
+    for med in dgp.mediators:
+        m_idx.append(_draw_categorical(med.table[(x_idx, r) + tuple(m_idx)], rng))
+    y_idx = _draw_categorical(dgp.p_y[(x_idx, r) + tuple(m_idx)], rng)
+    return x_idx, r, m_idx, y_idx
+
+
+def assert_sample_matches_reference(dgp, n, seed):
+    frame, states = sample(dgp, n, seed=seed)
+    x_idx, r, m_idx, y_idx = reference_sample_indices(dgp, n, seed)
+    assert states.x_idx.dtype == x_idx.dtype and np.array_equal(states.x_idx, x_idx)
+    assert frame.r.dtype == r.dtype and np.array_equal(frame.r, r)
+    assert len(states.m_idx) == len(m_idx)
+    for ours, theirs in zip(states.m_idx, m_idx):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    assert np.array_equal(states.y_idx, y_idx)
+
+
+def parity_estimands(dgp):
+    K = dgp.n_blocks
+    return all_estimands(dgp) + [EstimandId.shift(1, (0,) * K), EstimandId.shift(0, (1,) + (0,) * (K - 1))]
+
+
+@pytest.mark.parametrize("builder", [toy_k1, toy_k2, toy_k4])
+@pytest.mark.parametrize("n_draws", [1, 7, 200_000, 1_000_001])
+def test_cascade_mc_matches_the_row_sampler_bit_for_bit(builder, n_draws):
+    dgp = builder()
+    for estimand in parity_estimands(dgp):
+        mean, se = cascade_mc(dgp, estimand, n_draws, seed=13)
+        ref_mean, ref_se = reference_cascade_mc(dgp, estimand, n_draws, seed=13)
+        assert (mean.hex(), se.hex()) == (ref_mean.hex(), ref_se.hex()), estimand.label
+
+
+@pytest.mark.parametrize("builder", [toy_k1, toy_k2, toy_k4])
+@pytest.mark.parametrize("n", [1, 500, 1_000_000])
+def test_sample_matches_the_row_sampler_index_for_index(builder, n):
+    assert_sample_matches_reference(builder(), n, seed=21)
+
+
+def non_monotone_dgp():
+    """A three-category mediator with a -1e-13 entry, which TABLE_TOL accepts,
+    in each x state: its running sums go 0.4, 0.4 - 1e-13, 1 at x state 0,
+    and 0.5, 1 - 1e-10 + 1e-13, 1 - 1e-10 at x state 1 (that row sums to
+    1 - 1e-10, inside the row-sum tolerance)."""
+    row0 = [0.4, -1e-13, 0.6 + 1e-13]
+    row1 = [0.5, 0.5 - 1e-10 + 1e-13, -1e-13]
+    p_m = np.array([[row0, row0], [row1, row1]])
+    p_y = np.zeros((2, 2, 3, 2))
+    p_y[..., 1] = [[[0.2, 0.5, 0.7], [0.3, 0.6, 0.8]], [[0.25, 0.55, 0.75], [0.35, 0.65, 0.85]]]
+    p_y[..., 0] = 1.0 - p_y[..., 1]
+    return DiscreteDgp(
+        x_values=np.array([[0.0], [1.0]]),
+        p_x=np.array([0.5, 0.5]),
+        p_r1=np.array([0.4, 0.6]),
+        mediators=(MediatorTable(np.array([0.0, 1.0, 2.0]), p_m),),
+        y_values=np.array([0.0, 1.0]),
+        p_y=p_y,
+    )
+
+
+class FixedUniforms:
+    """A generator stand-in whose every ``random(n)`` repeats one pattern."""
+
+    def __init__(self, pattern):
+        self.pattern = np.asarray(pattern, dtype=float)
+
+    def random(self, n):
+        return np.resize(self.pattern, n)
+
+
+def test_non_monotone_cdf_draws_as_the_row_sampler(monkeypatch):
+    dgp = non_monotone_dgp()
+    for estimand in all_estimands(dgp):
+        for n_draws in (7, 200_000):
+            assert cascade_mc(dgp, estimand, n_draws, seed=2) == reference_cascade_mc(dgp, estimand, n_draws, seed=2)
+    assert_sample_matches_reference(dgp, 10_000, seed=2)
+
+    # Each level reuses the pattern, so a uniform picks x and then m. Every
+    # entry is counted: 0.4 - 5e-14 lies between the x-state-0 sums 0.4 - 1e-13
+    # and 0.4 and draws category 1; 1 - 1e-10 + 5e-14 (x state 1) lies above
+    # the last sum but not the second and draws category 2.
+    pattern = [0.4 - 5e-14, 1 - 1e-10 + 5e-14, 0.1, 0.45, 0.7, 0.999999]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedUniforms(pattern))
+    _, states = sample(dgp, 6, seed=0)
+    assert list(states.x_idx[:2]) == [0, 1] and list(states.m_idx[0][:2]) == [1, 2]
+    assert_sample_matches_reference(dgp, 6, seed=0)
+    for estimand in all_estimands(dgp):
+        assert cascade_mc(dgp, estimand, 6) == reference_cascade_mc(dgp, estimand, 6)
+
+
 def test_density_ratio_equals_g_odds_ratio():
     dgp = toy_k4()
     ex = ExactNuisances(dgp)
@@ -297,6 +426,29 @@ def test_validation_rejects_bad_tables():
     bad3["mediators"][0]["table"][0][0] = [1.0, 0.0]  # arm-0 support excludes m=1
     with pytest.raises(OracleError, match="one arm only"):
         DiscreteDgp.from_dict(bad3)
+
+
+@pytest.mark.parametrize(
+    "path, name",
+    [
+        (("x_values", 0, 0), "x_values"),
+        (("p_x", 0), "p_x"),
+        (("p_r1", 1), "p_r1"),
+        (("mediators", 0, "values", 1), "mediator 1 values"),
+        (("mediators", 0, "table", 0, 0, 1), "mediator 1 table"),
+        (("y_values", 0), "y_values"),
+        (("p_y", 1, 0, 1, 0), "p_y"),
+    ],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_validation_rejects_non_finite_entries(path, name, value):
+    payload = toy_k1().to_dict()
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(OracleError, match=f"^{name} has non-finite entries"):
+        DiscreteDgp.from_dict(payload)
 
 
 def test_json_roundtrip(tmp_path):

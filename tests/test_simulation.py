@@ -1,5 +1,7 @@
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -323,6 +325,32 @@ def test_run_grid_report_is_the_same_with_a_process_pool():
     pooled = run_grid(spec, n_jobs=2, **kwargs)
     assert serial.cells[0].failures == 0
     assert serial.to_json() == pooled.to_json()
+
+
+BLAS_THREADS_PROBE = """
+import ctypes, glob, os
+import numpy as np
+from pathshift.simulation import _one_blas_thread
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+getter = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None) if libs else None
+if getter is None:
+    print("absent")
+else:
+    before = getter()
+    _one_blas_thread()
+    print(before, getter())
+"""
+
+
+def test_pool_initializer_pins_numpy_blas_to_one_thread():
+    # a child process, so that this process keeps its BLAS thread count
+    src = os.path.dirname(os.path.dirname(simulation.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = [sys.executable, "-c", BLAS_THREADS_PROBE]
+    out = subprocess.run(probe, env=env, capture_output=True, text=True, check=True)
+    if out.stdout.strip() == "absent":
+        pytest.skip("numpy does not ship a scipy-openblas library")
+    assert out.stdout.split() == ["2", "1"]
 
 
 def test_run_grid_records_failures_and_continues():
