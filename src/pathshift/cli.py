@@ -17,6 +17,7 @@ from .data import DataError, build_frame, load_csv, role_spec_from_config
 from .decomposition import DecompositionConfig, DecompositionReport, decompose
 from .learners import LearnerSpec, SuperLearnerConfig, default_binary_sl, default_continuous_sl
 from .nuisance import EstimandId, NuisanceLearners
+from .parallel import usable_cores
 from .oracle import DiscreteDgp, cascade_mc, enumerate_gamma, one_step_population_value
 from .simulation import (
     DgpSpec,
@@ -153,7 +154,7 @@ def cmd_decompose(args) -> int:
     tables = []
     for pair, pair_roles in zip(pairs, roles):
         frame = build_frame(ds, pair_roles)
-        for one_kind, report in zip(kinds, decompose(frame, decomp_config, kinds)):
+        for one_kind, report in zip(kinds, decompose(frame, decomp_config, kinds, jobs=args.threads)):
             sections.append(report.to_dict())
             title = (
                 f"{one_kind} decomposition: comparison={pair['comparison']} vs "
@@ -300,6 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--delta", type=float, default=None)
     p_dec.add_argument("--crossfit-folds", type=int, default=None)
     p_dec.add_argument("--alpha", type=float, default=None)
+    p_dec.add_argument("--threads", type=int, default=usable_cores(),
+                       help="worker processes for the cross-fit folds (default: usable cores)")
     p_dec.set_defaults(func=cmd_decompose)
 
     p_sim = sub.add_parser("simulate", help="run a replication grid on a built-in DGP")
@@ -311,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--truth-draws", type=int, default=2_000_000)
     p_sim.add_argument("--out", default=".")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--threads", type=int, default=os.cpu_count())
+    p_sim.add_argument("--threads", type=int, default=usable_cores())
     p_sim.set_defaults(func=cmd_simulate)
 
     p_or = sub.add_parser("oracle-check", help="verify estimators against the enumeration oracle")

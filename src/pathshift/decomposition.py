@@ -265,16 +265,24 @@ def decompose_sequential(
 
 
 def decompose(
-    frame: AnalysisFrame, config: DecompositionConfig | None = None, kinds: tuple[str, ...] = ("natural",)
+    frame: AnalysisFrame,
+    config: DecompositionConfig | None = None,
+    kinds: tuple[str, ...] = ("natural",),
+    jobs: int = 1,
 ) -> tuple[DecompositionReport, ...]:
     """One report per kind, all estimated from one nuisance cache, so every
-    nuisance the kinds share is fit once."""
+    nuisance the kinds share is fit once. With cross-fitting and ``jobs`` > 1
+    the folds are fit at the same time, one worker process per fold (see
+    :meth:`NuisanceCache.prefit`); the reports are the same bytes."""
     config = config or DecompositionConfig()
     # looked up per call, so that a profiler or tracer wrapping the module's
     # names sees each report
     builders = {"natural": decompose_natural, "sequential": decompose_sequential}
+    plans = {"natural": _natural_plan, "sequential": _sequential_plan}
     for kind in kinds:
         if kind not in builders:
             raise DecompositionError(f"unknown decomposition kind {kind!r}")
+    _component_scale(config, frame)  # a scale mismatch fails before any fit
     cache = NuisanceCache(frame, config.learners, config.delta, config.crossfit_folds, config.seed)
+    cache.prefit([e for kind in kinds for _, a, b in plans[kind](frame.n_blocks) for e in (a, b)], jobs)
     return tuple(builders[kind](frame, config, cache=cache) for kind in kinds)

@@ -53,7 +53,12 @@ class GammaEstimate:
 
     @property
     def se(self) -> float:
-        return float(np.sqrt(np.mean(self.eif**2) / self.n))
+        se = float(np.sqrt(np.mean(self.eif**2) / self.n))
+        if not np.isfinite(se):
+            raise EstimationError(
+                f"estimate {self.estimand.label}: non-finite standard error {se} from the influence-function values"
+            )
+        return se
 
     def ci(self, alpha: float = 0.05) -> tuple[float, float]:
         from scipy.stats import norm

@@ -16,6 +16,9 @@ truncated into [delta, 1 - delta].
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -23,6 +26,7 @@ import numpy as np
 
 from .data import AnalysisFrame
 from .learners import LearnerSpec, SuperLearnerConfig, fit_two_part, stratified_folds, train
+from .parallel import _one_blas_thread, usable_cores
 
 DEFAULT_DELTA = 0.01
 
@@ -196,21 +200,30 @@ def _seed_from(seed: int, key: tuple) -> int:
 
 @dataclass
 class _Level:
-    """One fitted regression level of a chain, with its fold models.
+    """One nuisance regression of the cache, with its fold models.
 
-    ``depth`` is the level's index j in its chain (0 for the outcome level),
-    so its route name is Q{depth}.
+    A binary level (``stratum`` None) is pi or g_k = P(R=1 | M_1..prefix, X),
+    fit on every training row and clipped once its folds are merged. A chain
+    level regresses Y (no ``parent``) or its parent's prediction onto
+    M_1..prefix and X within R = stratum; ``depth`` is its index j in its
+    chain (0 for the outcome level), so its route name is Q{depth}.
     """
 
     key: tuple
     label: str
-    depth: int
     prefix: int
-    models: list = field(default_factory=list)
+    stratum: int | None = None
+    parent: _Level | None = None
+    depth: int = 0
+    models: dict = field(default_factory=dict)
     oof: np.ndarray | None = None
 
     @property
     def name(self) -> str:
+        if self.label == "pi":
+            return "pi"
+        if self.label == "g":
+            return f"g{self.prefix}"
         return f"Q{self.depth}"
 
 
@@ -222,6 +235,10 @@ class NuisanceCache:
     misspecification grid. Names are keyed by position in the chain: "pi",
     "g{k}" for g_k = P(R=1|M_1..k, X), and "Q{j}" for chain level j (Q0 is
     the outcome regression); a bare "g" or "Q" names all of them.
+
+    Every fit goes through :meth:`_fit_fold`, one fold of one level. Levels
+    are fit lazily, all folds at once, as :func:`fit_all` asks for them;
+    :meth:`prefit` instead fits each fold's whole walk in its own worker.
     """
 
     def __init__(
@@ -265,13 +282,6 @@ class NuisanceCache:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _splits(self):
-        n = self.frame.n
-        if self.n_folds == 1:
-            every = np.ones(n, dtype=bool)
-            return [(every, every)]
-        return [(self.fold_labels != v, self.fold_labels == v) for v in range(self.n_folds)]
-
     def _variant(self, name: str) -> str:
         base = name.rstrip("0123456789")
         return self.route.get(name) or self.route.get(base) or "correct"
@@ -294,30 +304,49 @@ class NuisanceCache:
         self.truncation_counts[name] = self.truncation_counts.get(name, 0) + hit
         return np.clip(vec, lo, hi)
 
+    # -- the levels an estimand needs ----------------------------------------
+
+    def _pi_level(self) -> _Level:
+        return _Level(("pi", self._variant("pi")), "pi", 0)
+
+    def _g_level(self, k: int) -> _Level:
+        return _Level(("g", k, self._variant(f"g{k}")), "g", k)
+
+    def _chain_level(self, parent: _Level | None, prefix: int, stratum: int) -> _Level:
+        """The chain level onto M_1..prefix within R = stratum: the outcome
+        regression when there is no parent, else a regression of the parent."""
+        if parent is None:
+            return _Level(("mu", prefix, stratum, self._variant("Q0")), "mu", prefix, stratum)
+        depth = parent.depth + 1
+        label = "B" if prefix else ("C_mu" if parent.label == "mu" else "C_B")
+        key = (label, prefix, stratum, self._variant(f"Q{depth}"), parent.key)
+        return _Level(key, label, prefix, stratum, parent, depth)
+
+    def _plan(self, estimands) -> list[_Level]:
+        """The levels the estimands need that the cache lacks, in the order
+        that :func:`fit_all` asks for them; a level shared by two chains is
+        listed once, and its children point at that one."""
+        known = dict(self._store)
+        todo = []
+
+        def need(level: _Level) -> _Level:
+            if level.key not in known:
+                known[level.key] = level
+                todo.append(level)
+            return known[level.key]
+
+        for estimand in estimands:
+            chain = estimand.chain(self.n_blocks)
+            need(self._pi_level())
+            for prefix, _ in chain:
+                if prefix:
+                    need(self._g_level(prefix))
+            parent = None
+            for prefix, arm in chain:
+                parent = need(self._chain_level(parent, prefix, arm))
+        return todo
+
     # -- fits ---------------------------------------------------------------
-
-    def _binary(self, name: str, prefix: int, key: tuple) -> np.ndarray:
-        """Fold-wise P(R = 1 | M_1..prefix, X), clipped, cached under ``key``."""
-        if key not in self._store:
-            feats = self._features(name, prefix)
-            resp = self.frame.r.astype(float)
-            oof = np.empty(self.frame.n)
-            for train_mask, test_mask in self._splits():
-                if resp[train_mask].min() == resp[train_mask].max():
-                    raise NuisanceError("a training split contains a single group level")
-                model = train(
-                    self.learners.binary, feats[train_mask], resp[train_mask],
-                    "probability", self._seed(key), strata=resp[train_mask],
-                )
-                oof[test_mask] = model.predict(feats[test_mask])
-            self._store[key] = self._clip(name, oof)
-        return self._store[key]
-
-    def pi(self) -> np.ndarray:
-        return self._binary("pi", 0, ("pi", self._variant("pi")))
-
-    def g(self, k: int) -> np.ndarray:
-        return self._binary(f"g{k}", k, ("g", k, self._variant(f"g{k}")))
 
     def _outcome_model(self, feats: np.ndarray, resp: np.ndarray, seed: int):
         scale = self.frame.scale_applied
@@ -327,92 +356,163 @@ class NuisanceCache:
             return train(self.learners.binary, feats, resp, "probability", seed, strata=resp)
         return train(self.learners.continuous, feats, resp, "continuous", seed)
 
-    def _fit(self, level: _Level, stratum: int, parent: _Level | None) -> _Level:
-        """Fold-wise regression within R = stratum onto M_1..prefix and X.
+    def _fit_fold(self, level: _Level, v: int) -> np.ndarray:
+        """Fit the level on fold v's training rows; returns its predictions on
+        fold v's test rows. With one fold, both are every row.
 
-        The response is Y for the outcome level. Otherwise it is the parent
-        level's prediction on the fold's training rows, made only now that a
-        child reads it; with one fold those rows are all rows, so the parent's
-        out-of-fold vector is reused, and fold models need not be kept.
+        A chain level's response is Y at the outcome level. Otherwise it is
+        the parent's prediction on the training rows: with one fold the
+        parent's out-of-fold vector, else the parent's fold-v model's, made
+        only now that a child reads it. So with more than one fold the fold
+        models are kept.
         """
-        level.oof = np.empty(self.frame.n)
+        test = self.fold_labels == v
+        train_rows = ~test if self.n_folds > 1 else test
         feats = self._features(level.name, level.prefix)
-        if parent is not None and self.n_folds > 1:
-            parent_feats = self._features(parent.name, parent.prefix)
-        for idx, (train_mask, test_mask) in enumerate(self._splits()):
-            rows = train_mask & (self.frame.r == stratum)
+        if level.stratum is None:
+            resp = self.frame.r[train_rows].astype(float)
+            if resp.min() == resp.max():
+                raise NuisanceError("a training split contains a single group level")
+            model = train(
+                self.learners.binary, feats[train_rows], resp, "probability", self._seed(level.key), strata=resp
+            )
+        else:
+            rows = train_rows & (self.frame.r == level.stratum)
             if not rows.any():
-                raise NuisanceError(f"empty stratum R={stratum} in a training split")
-            seed = self._seed(level.key + (idx,))
+                raise NuisanceError(f"empty stratum R={level.stratum} in a training split")
+            seed = self._seed(level.key + (v,))
+            parent = level.parent
             if parent is None:
                 model = self._outcome_model(feats[rows], self.frame.y[rows], seed)
             else:
                 if self.n_folds == 1:
                     resp = parent.oof[rows]
                 else:
-                    resp = parent.models[idx].predict(parent_feats[rows])
+                    resp = parent.models[v].predict(self._features(parent.name, parent.prefix)[rows])
                 model = train(self.learners.continuous, feats[rows], resp, "continuous", seed)
-            level.oof[test_mask] = model.predict(feats[test_mask])
-            if self.n_folds > 1:
-                level.models.append(model)
+        if self.n_folds > 1:
+            level.models[v] = model
+        return model.predict(feats[test])
+
+    def _merge(self, level: _Level, preds: list[np.ndarray]) -> _Level:
+        """Store the level's out-of-fold vector, built from each fold's test-row
+        predictions; a binary level's is clipped into [delta, 1 - delta]."""
+        oof = np.empty(self.frame.n)
+        for v, pred in enumerate(preds):
+            oof[self.fold_labels == v] = pred
+        level.oof = self._clip(level.name, oof) if level.stratum is None else oof
+        self._store[level.key] = level
         return level
 
-    def _mu_entry(self, k: int, r0: int) -> _Level:
-        """Outcome level E[Y | M_1..k, X, R=r0]."""
-        key = ("mu", k, r0, self._variant("Q0"))
-        if key not in self._store:
-            self._store[key] = self._fit(_Level(key, "mu", 0, k), r0, None)
-        return self._store[key]
+    def _fitted(self, level: _Level) -> _Level:
+        if level.key not in self._store:
+            self._merge(level, [self._fit_fold(level, v) for v in range(self.n_folds)])
+        return self._store[level.key]
 
-    def _regress(self, label: str, parent: _Level, prefix: int, stratum: int) -> _Level:
-        """Regression of a parent level onto M_1..prefix and X within R = stratum."""
-        depth = parent.depth + 1
-        key = (label, prefix, stratum, self._variant(f"Q{depth}"), parent.key)
-        if key not in self._store:
-            self._store[key] = self._fit(_Level(key, label, depth, prefix), stratum, parent)
-        return self._store[key]
+    def prefit(self, estimands, jobs: int) -> None:
+        """Fit every nuisance the estimands need, each cross-fit fold's walk in
+        its own worker process, so that :func:`fit_all` then only reads them.
 
-    # The three kinds of pseudo-outcome level keep their own method names, so
-    # that a profiler or tracer can time each kind apart.
-
-    def _B_entry(self, parent: _Level, prefix: int, stratum: int) -> _Level:
-        return self._regress("B", parent, prefix, stratum)
-
-    def C_mu(self, parent: _Level, stratum: int) -> _Level:
-        return self._regress("C_mu", parent, 0, stratum)
-
-    def C_B(self, parent: _Level, stratum: int) -> _Level:
-        return self._regress("C_B", parent, 0, stratum)
+        Does nothing with one fold or one job. The pool has one worker per
+        fold, at most ``jobs`` and the usable cores. Each worker inherits the
+        cache when it is forked and sends back only its test-row predictions;
+        the fitted models stay in the worker, so no chain that is fit later
+        may extend a level fit here. The warnings of each fold are raised
+        again here in fold order, and then the error that a serial walk would
+        have met first.
+        """
+        workers = min(self.n_folds, jobs, usable_cores())
+        levels = self._plan(estimands) if workers > 1 else []
+        if not levels:
+            return
+        # forked workers inherit the cache; a spawned one imports numpy and the
+        # package afresh, which costs more than the fold fits it takes over
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            workers, mp_context=fork, initializer=_start_fold_worker, initargs=(self, levels)
+        ) as pool:
+            walks = list(pool.map(_walk_fold, range(self.n_folds)))
+        for _, caught, _ in walks:
+            for category, message in caught:
+                warnings.warn(message, category)
+        failed = [(len(preds), v, error) for v, (preds, _, error) in enumerate(walks) if error is not None]
+        if failed:
+            raise min(failed, key=lambda fail: fail[:2])[2]
+        for i, level in enumerate(levels):
+            self._merge(level, [preds[i] for preds, _, _ in walks])
 
     # -- the provider interface that fit_all walks -----------------------------
 
+    def pi(self) -> np.ndarray:
+        return self._fitted(self._pi_level()).oof
+
+    def g(self, k: int) -> np.ndarray:
+        return self._fitted(self._g_level(k)).oof
+
     def level(self, parent: _Level | None, prefix: int, stratum: int) -> _Level:
-        """The chain level onto M_1..prefix within R = stratum: the outcome
-        regression when there is no parent, else a regression of the parent."""
-        if parent is None:
-            return self._mu_entry(prefix, stratum)
-        if prefix:
-            return self._B_entry(parent, prefix, stratum)
-        if parent.label == "mu":
-            return self.C_mu(parent, stratum)
-        return self.C_B(parent, stratum)
+        """The fitted chain level onto M_1..prefix within R = stratum."""
+        level = self._chain_level(parent, prefix, stratum)
+        fit = {"mu": self._mu_entry, "B": self._B_entry, "C_mu": self.C_mu, "C_B": self.C_B}[level.label]
+        return fit(level)
+
+    # Each kind of chain level keeps its own method name, so that a profiler
+    # or tracer can time each kind apart.
+
+    def _mu_entry(self, level: _Level) -> _Level:
+        return self._fitted(level)
+
+    def _B_entry(self, level: _Level) -> _Level:
+        return self._fitted(level)
+
+    def C_mu(self, level: _Level) -> _Level:
+        return self._fitted(level)
+
+    def C_B(self, level: _Level) -> _Level:
+        return self._fitted(level)
 
     def rows(self, level: _Level) -> np.ndarray:
         return level.oof
 
     def diagnostics(self) -> dict:
         out = {"truncation_counts": dict(self.truncation_counts), "delta": self.delta}
-        pi_key = ("pi", self._variant("pi"))
-        if pi_key in self._store:
-            pi = self._store[pi_key]
-            out["pi_range"] = [float(pi.min()), float(pi.max())]
-        g_ranges = {}
-        for key, value in self._store.items():
-            if key[0] == "g":
-                g_ranges[f"g{key[1]}"] = [float(value.min()), float(value.max())]
+        pi = self._store.get(self._pi_level().key)
+        if pi is not None:
+            out["pi_range"] = [float(pi.oof.min()), float(pi.oof.max())]
+        g_ranges = {
+            level.name: [float(level.oof.min()), float(level.oof.max())]
+            for level in self._store.values()
+            if level.label == "g"
+        }
         if g_ranges:
             out["g_ranges"] = g_ranges
         return out
+
+
+_FOLD_WALK: tuple = ()  # a fold worker's (cache, levels)
+
+
+def _start_fold_worker(cache: NuisanceCache, levels: list[_Level]) -> None:
+    global _FOLD_WALK
+    _one_blas_thread()
+    _FOLD_WALK = (cache, levels)
+
+
+def _walk_fold(v: int) -> tuple[list[np.ndarray], list[tuple], Exception | None]:
+    """Fit fold v of every level in order, in a fold worker. Returns the
+    test-row predictions, the warnings raised as (category, message), and
+    the error that stopped the walk, if any."""
+    cache, levels = _FOLD_WALK
+    preds, error = [], None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for level in levels:
+                preds.append(cache._fit_fold(level, v))
+        except Exception as err:  # noqa: BLE001 - raised again in the parent
+            error = err
+    for level in levels:
+        level.models.pop(v, None)
+    return preds, [(w.category, str(w.message)) for w in caught], error
 
 
 class ExactProvider:

@@ -27,8 +27,6 @@ control variate to measure small biases precisely (``oracle_centering``).
 from __future__ import annotations
 
 import csv
-import ctypes
-import glob
 import io
 import json
 import os
@@ -43,6 +41,7 @@ from .decomposition import contrast
 from .estimators import estimate, gamma_summands
 from .nuisance import EstimandId, ExactProvider, NuisanceCache, NuisanceLearners, NuisanceSet, fit_all
 from .learners import default_binary_sl, default_continuous_sl
+from .parallel import _one_blas_thread, usable_cores
 from . import oracle as oracle_mod
 
 DGP_KINDS = ("sim1_meps_like", "sim2_misspec", "discrete_toy")
@@ -503,7 +502,7 @@ def _mc_mean(spec: DgpSpec, settings: tuple, n_draws: int, seed: int) -> TruthVa
 
     total = 0.0
     total_sq = 0.0
-    with ThreadPoolExecutor(max_workers=min(len(sizes), len(os.sched_getaffinity(0)))) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(sizes), usable_cores())) as pool:
         for chunk_sum, chunk_sq in pool.map(moments, range(len(sizes))):
             total += chunk_sum
             total_sq += chunk_sq
@@ -653,20 +652,6 @@ class SimReport:
                     handle.write(f"{n} {abs(c.sqrt_n_bias):.10g} {c.n_var:.10g} {centered:.10g}\n")
             written.append(path)
         return written
-
-
-def _one_blas_thread() -> None:
-    """Pin the OpenBLAS that numpy loaded to one thread in a pool worker, so
-    n_jobs workers do not each run a BLAS thread per core. Does nothing when
-    numpy ships no OpenBLAS or the library has no thread setter."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter(1)
-                break
 
 
 def _run_one_rep(args):

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from pathshift import nuisance
 from pathshift.cli import main
 from pathshift.toys import fixture_path, toy_k1
 
@@ -49,6 +50,18 @@ def test_decompose_seed_reproducible_bytes(meps_like_csv, tmp_path):
     assert main(["decompose", "--config", cfg, "--out", str(out1), "--seed", "9"]) == 0
     assert main(["decompose", "--config", cfg, "--out", str(out2), "--seed", "9"]) == 0
     assert (out1 / "decomposition.json").read_bytes() == (out2 / "decomposition.json").read_bytes()
+
+
+def test_decompose_crossfit_bytes_match_across_thread_counts(meps_like_csv, tmp_path, monkeypatch):
+    monkeypatch.setattr(nuisance, "usable_cores", lambda: 2)  # the fold pool runs on any host
+    _, cfg = meps_like_csv
+    threads = {"pool_a": "2", "pool_b": "2", "serial": "1"}
+    for name, count in threads.items():
+        argv = ["decompose", "--config", cfg, "--out", str(tmp_path / name), "--seed", "6",
+                "--crossfit-folds", "2", "--decomposition", "both", "--threads", count]
+        assert main(argv) == 0
+    outputs = {name: (tmp_path / name / "decomposition.json").read_bytes() for name in threads}
+    assert outputs["pool_a"] == outputs["pool_b"] == outputs["serial"]
 
 
 def test_decompose_env_seed_fallback(meps_like_csv, tmp_path, monkeypatch):

@@ -13,14 +13,30 @@ from pathshift.decomposition import (
     decompose_sequential,
     to_geometric_scale,
 )
+from pathshift import nuisance
 from pathshift.estimators import estimate
-from pathshift.learners import LearnerSpec
-from pathshift.nuisance import EstimandId, NuisanceCache, NuisanceLearners, fit_all
+from pathshift.learners import LearnerError, LearnerSpec, SuperLearnerConfig, stratified_folds
+from pathshift.nuisance import EstimandId, NuisanceCache, NuisanceError, NuisanceLearners, fit_all
 from pathshift.oracle import enumerate_gamma, population_frame
 from pathshift.simulation import DgpSpec, generate
 from pathshift.toys import toy_dyadic_k2
 
 SATURATED = NuisanceLearners(binary=LearnerSpec("saturated"), continuous=LearnerSpec("saturated"))
+SMALL_SL = NuisanceLearners(
+    binary=SuperLearnerConfig(
+        candidates=(LearnerSpec("mean"), LearnerSpec("logistic"), LearnerSpec("boosted_stumps", rounds=20)), cv_folds=3
+    ),
+    continuous=SuperLearnerConfig(
+        candidates=(LearnerSpec("mean"), LearnerSpec("linear"), LearnerSpec("boosted_stumps", rounds=20)), cv_folds=3
+    ),
+)
+
+
+@pytest.fixture
+def two_usable_cores(monkeypatch):
+    """The fold pool never has more workers than usable cores; report two, so
+    that the pool runs on any host."""
+    monkeypatch.setattr(nuisance, "usable_cores", lambda: 2)
 
 
 def test_contrast_of_identical_estimates_is_null():
@@ -228,3 +244,59 @@ def test_decompose_with_no_covariates_uses_intercept_models():
     report = decompose_natural(frame)
     assert np.isfinite(report.component("total").point)
     assert report.component("total").point > 0
+
+
+# -- the fold pool ---------------------------------------------------------------
+
+@pytest.mark.parametrize("folds", [2, 3, 5])
+def test_fold_pool_gives_the_serial_bytes(folds, two_usable_cores):
+    frame = generate(DgpSpec("sim1_meps_like"), 600, seed=21)
+    config = DecompositionConfig(learners=SMALL_SL, crossfit_folds=folds, scale="geometric", seed=4)
+    serial = decompose(frame, config, ("natural", "sequential"))
+    pooled = decompose(frame, config, ("natural", "sequential"), jobs=2)
+    assert [report.to_json() for report in pooled] == [report.to_json() for report in serial]
+
+
+def test_fold_pool_raises_the_serial_error(two_usable_cores):
+    rng = np.random.default_rng(16)
+    n = 40
+    r = np.zeros(n, dtype=np.int8)
+    r[0] = 1  # lone comparison row: its fold's complement is single-class
+    frame = AnalysisFrame(x=rng.standard_normal((n, 1)), r=r, m_blocks=(rng.standard_normal((n, 1)),), y=rng.standard_normal(n))
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(NuisanceError) as info:
+            decompose(frame, DecompositionConfig(crossfit_folds=4), jobs=jobs)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1] == (NuisanceError, "a training split contains a single group level")
+
+
+def test_fold_pool_raises_the_error_a_serial_walk_meets_first(two_usable_cores):
+    # saturated fits fail on a cell their training rows lack, so the failing
+    # level depends on the fold: fold 1 fails at g_1, an earlier level than
+    # mu(M_1, X; R=0), where fold 0 fails
+    n, seed = 40, 3
+    r = np.tile([0, 1], n // 2).astype(np.int8)
+    labels = stratified_folds(n, 2, seed, strata=r)
+    m = np.tile([0.0, 0.0, 1.0, 1.0], n // 4)
+    m[np.flatnonzero((labels == 1) & (r == 0))[0]] = 9.0  # only in fold 1's test rows
+    m[np.flatnonzero((labels == 0) & (r == 0))[0]] = 5.0  # in fold 0's test rows ...
+    m[np.flatnonzero((labels == 1) & (r == 1))[0]] = 5.0  # ... and its training rows, but not at R = 0
+    frame = AnalysisFrame(x=np.zeros((n, 1)), r=r, m_blocks=(m[:, None],), y=np.arange(n, dtype=float))
+    config = DecompositionConfig(learners=SATURATED, crossfit_folds=2, seed=seed)
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(LearnerError) as info:
+            decompose(frame, config, jobs=jobs)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert "unseen cell" in errors[0][1] and "9.0" in errors[0][1] and "5.0" not in errors[0][1]
+
+
+def test_fold_pool_raises_worker_warnings_again(two_usable_cores):
+    frame = generate(DgpSpec("sim2_misspec"), 300, seed=23)
+    # a continuous response: the logistic candidate fails and is dropped in every fold
+    continuous = SuperLearnerConfig(candidates=(LearnerSpec("logistic"), LearnerSpec("linear")), cv_folds=3)
+    config = DecompositionConfig(learners=NuisanceLearners(continuous=continuous), crossfit_folds=2)
+    with pytest.warns(UserWarning, match="dropped candidate logistic"):
+        decompose(frame, config, jobs=2)

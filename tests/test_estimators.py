@@ -294,3 +294,19 @@ def test_exact_nuisance_unbiasedness_at_one_million_rows():
         q = ex.nuisance_set(states, estimand)
         est = estimate(frame, q)
         assert abs(est.point - enumerate_gamma(dgp, estimand)) <= 4 * est.se, estimand.label
+
+
+def test_standard_error_of_non_finite_influence_values_raises():
+    from dataclasses import replace
+
+    frame = manual_frame()
+    q = NuisanceSet(estimand=EstimandId.dis(), n_blocks=1, pi=np.full(200, 0.5), Q=[np.zeros(200)], delta=0.0)
+    est = estimate(frame, q)
+    for bad in (np.nan, np.inf):
+        eif = est.eif.copy()
+        eif[3] = bad
+        broken = replace(est, eif=eif)
+        with pytest.raises(EstimationError, match="estimate gamma_dis: non-finite standard error"):
+            broken.se
+        with pytest.raises(EstimationError, match="non-finite standard error"):
+            broken.ci()

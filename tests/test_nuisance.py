@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pathshift.data import AnalysisFrame
+from pathshift import nuisance
 from pathshift.learners import LearnerSpec
 from pathshift.nuisance import EstimandId, NuisanceCache, NuisanceError, NuisanceLearners, fit_all
 from pathshift.oracle import ExactNuisances, population_frame
@@ -285,3 +286,38 @@ def test_propensity_recovers_generating_logit_on_sim2():
     pi_hat = NuisanceCache(frame, delta=0.001).pi()
     truth = Sim2Exact(spec).pi_vec(frame)
     assert np.abs(pi_hat - truth).max() < 0.02
+
+
+# -- the fold pool ---------------------------------------------------------------
+
+POOL_ESTIMANDS = (EstimandId.adv(), EstimandId.mediator(1), EstimandId.sequential(2), EstimandId.direct())
+
+
+def test_prefit_fills_the_cache_from_fold_workers(monkeypatch):
+    monkeypatch.setattr(nuisance, "usable_cores", lambda: 2)
+    frame = generate(DgpSpec("sim2_misspec"), 600, seed=22)
+    serial = NuisanceCache(frame, folds=3, seed=5)
+    pooled = NuisanceCache(frame, folds=3, seed=5)
+    pooled.prefit(POOL_ESTIMANDS, jobs=2)
+    assert pooled._store and all(not level.models for level in pooled._store.values())  # models stay in the workers
+
+    def refit(level, v):
+        raise AssertionError(f"refit {level.key} fold {v}")
+
+    monkeypatch.setattr(pooled, "_fit_fold", refit)
+    for estimand in POOL_ESTIMANDS:
+        a = fit_all(frame, estimand, cache=serial)
+        b = fit_all(frame, estimand, cache=pooled)
+        assert np.array_equal(a.pi, b.pi)
+        assert a.g.keys() == b.g.keys() and all(np.array_equal(a.g[k], b.g[k]) for k in a.g)
+        assert all(np.array_equal(qa, qb) for qa, qb in zip(a.Q, b.Q, strict=True))
+    assert pooled.diagnostics() == serial.diagnostics()
+
+
+def test_prefit_starts_no_pool_with_one_fold_or_one_job(monkeypatch):
+    monkeypatch.setattr(nuisance, "usable_cores", lambda: 2)
+    frame = small_frame(200, seed=24)
+    for folds, jobs in ((None, 2), (3, 1)):
+        cache = NuisanceCache(frame, folds=folds, seed=0)
+        cache.prefit(POOL_ESTIMANDS[:1], jobs=jobs)
+        assert not cache._store
