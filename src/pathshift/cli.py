@@ -287,6 +287,13 @@ def cmd_oracle_check(args) -> int:
     return 1 if failed else 0
 
 
+def _threads(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pathshift", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -301,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--delta", type=float, default=None)
     p_dec.add_argument("--crossfit-folds", type=int, default=None)
     p_dec.add_argument("--alpha", type=float, default=None)
-    p_dec.add_argument("--threads", type=int, default=usable_cores(),
-                       help="worker processes for the cross-fit folds (default: usable cores)")
+    p_dec.add_argument("--threads", type=_threads, default=usable_cores(),
+                       help="worker processes for the nuisance fits (default: usable cores)")
     p_dec.set_defaults(func=cmd_decompose)
 
     p_sim = sub.add_parser("simulate", help="run a replication grid on a built-in DGP")
@@ -314,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--truth-draws", type=int, default=2_000_000)
     p_sim.add_argument("--out", default=".")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--threads", type=int, default=usable_cores())
+    p_sim.add_argument("--threads", type=_threads, default=usable_cores())
     p_sim.set_defaults(func=cmd_simulate)
 
     p_or = sub.add_parser("oracle-check", help="verify estimators against the enumeration oracle")

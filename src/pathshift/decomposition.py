@@ -271,9 +271,10 @@ def decompose(
     jobs: int = 1,
 ) -> tuple[DecompositionReport, ...]:
     """One report per kind, all estimated from one nuisance cache, so every
-    nuisance the kinds share is fit once. With cross-fitting and ``jobs`` > 1
-    the folds are fit at the same time, one worker process per fold (see
-    :meth:`NuisanceCache.prefit`); the reports are the same bytes."""
+    nuisance the kinds share is fit once. With ``jobs`` > 1 the independent
+    trees of nuisance levels are fit at the same time in worker processes,
+    one task per tree and cross-fit fold (see :meth:`NuisanceCache.prefit`);
+    the reports are the same bytes."""
     config = config or DecompositionConfig()
     # looked up per call, so that a profiler or tracer wrapping the module's
     # names sees each report

@@ -238,7 +238,8 @@ class NuisanceCache:
 
     Every fit goes through :meth:`_fit_fold`, one fold of one level. Levels
     are fit lazily, all folds at once, as :func:`fit_all` asks for them;
-    :meth:`prefit` instead fits each fold's whole walk in its own worker.
+    :meth:`prefit` instead fits independent trees of levels in worker
+    processes, one task per tree and fold.
     """
 
     def __init__(
@@ -410,36 +411,44 @@ class NuisanceCache:
         return self._store[level.key]
 
     def prefit(self, estimands, jobs: int) -> None:
-        """Fit every nuisance the estimands need, each cross-fit fold's walk in
-        its own worker process, so that :func:`fit_all` then only reads them.
+        """Fit every nuisance the estimands need in worker processes, so that
+        :func:`fit_all` then only reads them.
 
-        Does nothing with one fold or one job. The pool has one worker per
-        fold, at most ``jobs`` and the usable cores. Each worker inherits the
-        cache when it is forked and sends back only its test-row predictions;
-        the fitted models stay in the worker, so no chain that is fit later
-        may extend a level fit here. The warnings of each fold are raised
-        again here in fold order, and then the error that a serial walk would
-        have met first.
+        The planned levels split into trees: ``pi``, one ``g_k``, or one
+        outcome level with the levels that descend from it. A tree holds all
+        that its levels read, so each (tree, fold) is a task; the largest
+        trees go out first. The pool has at most ``jobs`` workers and the
+        usable cores, and is not started for fewer than two tasks. Workers
+        are forked with the cache and send back only test-row predictions;
+        the fitted models stay there, so with cross-fitting no chain fit
+        later may extend a level fit here. Warnings, then the error, are
+        raised again in the order a serial walk meets them.
         """
-        workers = min(self.n_folds, jobs, usable_cores())
-        levels = self._plan(estimands) if workers > 1 else []
-        if not levels:
+        levels = self._plan(estimands)
+        trees = _trees(levels)
+        tasks = _tasks(trees, self.n_folds)
+        workers = min(len(tasks), jobs, usable_cores())
+        if workers < 2:
             return
+        preds, caught, failed = {}, [], []
         # forked workers inherit the cache; a spawned one imports numpy and the
-        # package afresh, which costs more than the fold fits it takes over
+        # package afresh, which costs more than the fits it takes over
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(
-            workers, mp_context=fork, initializer=_start_fold_worker, initargs=(self, levels)
+            workers, mp_context=fork, initializer=_start_tree_worker, initargs=(self, trees)
         ) as pool:
-            walks = list(pool.map(_walk_fold, range(self.n_folds)))
-        for _, caught, _ in walks:
-            for category, message in caught:
+            for fitted, warned, error in pool.map(_walk_tree, tasks):
+                preds.update(fitted)
+                caught += warned
+                failed += [error] if error else []
+        first = min(failed, key=lambda fail: fail[0]) if failed else None
+        for at, category, message in sorted(caught, key=lambda warned: warned[0]):
+            if first is None or at <= first[0]:
                 warnings.warn(message, category)
-        failed = [(len(preds), v, error) for v, (preds, _, error) in enumerate(walks) if error is not None]
-        if failed:
-            raise min(failed, key=lambda fail: fail[:2])[2]
-        for i, level in enumerate(levels):
-            self._merge(level, [preds[i] for preds, _, _ in walks])
+        if first is not None:
+            raise first[1]
+        for position, level in enumerate(levels):
+            self._merge(level, [preds.pop((position, v)) for v in range(self.n_folds)])
 
     # -- the provider interface that fit_all walks -----------------------------
 
@@ -488,31 +497,55 @@ class NuisanceCache:
         return out
 
 
-_FOLD_WALK: tuple = ()  # a fold worker's (cache, levels)
+def _trees(levels: list[_Level]) -> list[list[tuple[int, _Level]]]:
+    """Split planned levels into trees of (plan position, level), parents
+    first: a level joins its parent's tree when the parent is planned too."""
+    root, trees = {}, {}
+    for position, level in enumerate(levels):
+        root[level.key] = root.get(level.parent.key, level.key) if level.parent else level.key
+        trees.setdefault(root[level.key], []).append((position, level))
+    return list(trees.values())
 
 
-def _start_fold_worker(cache: NuisanceCache, levels: list[_Level]) -> None:
-    global _FOLD_WALK
+def _tasks(trees: list, n_folds: int) -> list[tuple[int, int]]:
+    """The pool's (tree, fold) tasks, largest tree first, then in plan order."""
+    tasks = [(t, v) for t in range(len(trees)) for v in range(n_folds)]
+    return sorted(tasks, key=lambda task: (-len(trees[task[0]]), task))
+
+
+_POOL: tuple = ()  # a tree worker's (cache, trees)
+
+
+def _start_tree_worker(cache: NuisanceCache, trees: list) -> None:
+    global _POOL
     _one_blas_thread()
-    _FOLD_WALK = (cache, levels)
+    _POOL = (cache, trees)
 
 
-def _walk_fold(v: int) -> tuple[list[np.ndarray], list[tuple], Exception | None]:
-    """Fit fold v of every level in order, in a fold worker. Returns the
-    test-row predictions, the warnings raised as (category, message), and
-    the error that stopped the walk, if any."""
-    cache, levels = _FOLD_WALK
-    preds, error = [], None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            for level in levels:
-                preds.append(cache._fit_fold(level, v))
-        except Exception as err:  # noqa: BLE001 - raised again in the parent
-            error = err
-    for level in levels:
+def _walk_tree(task: tuple[int, int]) -> tuple[dict, list[tuple], tuple | None]:
+    """Fit fold v of tree t's levels, parents first, in a tree worker. Returns
+    the test-row predictions keyed by (plan position, fold), the warnings as
+    ((position, fold), category, message), and the error that stopped the
+    walk as ((position, fold), error), if any."""
+    t, v = task
+    cache, trees = _POOL
+    preds, caught, error = {}, [], None
+    for position, level in trees[t]:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            try:
+                preds[position, v] = cache._fit_fold(level, v)
+            except Exception as err:  # noqa: BLE001 - raised again in the parent
+                error = ((position, v), err)
+        caught += [((position, v), w.category, str(w.message)) for w in seen]
+        if error:
+            break
+        if cache.n_folds == 1:  # what the level's children read
+            level.oof = preds[position, v]
+    for _, level in trees[t]:
         level.models.pop(v, None)
-    return preds, [(w.category, str(w.message)) for w in caught], error
+        level.oof = None
+    return preds, caught, error
 
 
 class ExactProvider:

@@ -171,18 +171,6 @@ def toy_dyadic_k2() -> DiscreteDgp:
 FIXTURES = {"toy_k1": toy_k1, "toy_k2": toy_k2, "toy_k4": toy_k4}
 
 
-def write_fixture_files(directory: str) -> list[str]:
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for name, builder in FIXTURES.items():
-        path = os.path.join(directory, f"{name}.json")
-        builder().to_json(path)
-        paths.append(path)
-    return paths
-
-
 def fixture_path(name: str) -> str:
     """Filesystem path of a shipped fixture (toy_k1, toy_k2, toy_k4)."""
     from importlib.resources import files

@@ -64,6 +64,24 @@ def test_decompose_crossfit_bytes_match_across_thread_counts(meps_like_csv, tmp_
     assert outputs["pool_a"] == outputs["pool_b"] == outputs["serial"]
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_decompose_rejects_threads_below_one(meps_like_csv, tmp_path, capsys, threads):
+    _, cfg = meps_like_csv
+    with pytest.raises(SystemExit) as info:
+        main(["decompose", "--config", cfg, "--out", str(tmp_path), "--seed", "1", "--threads", threads])
+    assert info.value.code == 2
+    assert f"argument --threads: must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "decomposition.json").exists()
+
+
+def test_simulate_rejects_threads_below_one(tmp_path, capsys):
+    args = ["simulate", "--dgp", "sim1", "--n", "300", "--reps", "1", "--threads", "0", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    assert info.value.code == 2
+    assert "argument --threads: must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_decompose_env_seed_fallback(meps_like_csv, tmp_path, monkeypatch):
     _, cfg = meps_like_csv
     out = tmp_path / "env"

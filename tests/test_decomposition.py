@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -248,10 +250,19 @@ def test_decompose_with_no_covariates_uses_intercept_models():
 
 # -- the fold pool ---------------------------------------------------------------
 
-@pytest.mark.parametrize("folds", [2, 3, 5])
-def test_fold_pool_gives_the_serial_bytes(folds, two_usable_cores):
+@pytest.mark.parametrize(
+    "learners, folds",
+    [
+        pytest.param(SMALL_SL, 2, id="2"),
+        pytest.param(SMALL_SL, 3, id="3"),
+        pytest.param(SMALL_SL, 5, id="5"),
+        pytest.param(SMALL_SL, None, id="sl-no-crossfit"),
+        pytest.param(None, None, id="glm-no-crossfit"),
+    ],
+)
+def test_fold_pool_gives_the_serial_bytes(learners, folds, two_usable_cores):
     frame = generate(DgpSpec("sim1_meps_like"), 600, seed=21)
-    config = DecompositionConfig(learners=SMALL_SL, crossfit_folds=folds, scale="geometric", seed=4)
+    config = DecompositionConfig(learners=learners, crossfit_folds=folds, scale="geometric", seed=4)
     serial = decompose(frame, config, ("natural", "sequential"))
     pooled = decompose(frame, config, ("natural", "sequential"), jobs=2)
     assert [report.to_json() for report in pooled] == [report.to_json() for report in serial]
@@ -300,3 +311,65 @@ def test_fold_pool_raises_worker_warnings_again(two_usable_cores):
     config = DecompositionConfig(learners=NuisanceLearners(continuous=continuous), crossfit_folds=2)
     with pytest.warns(UserWarning, match="dropped candidate logistic"):
         decompose(frame, config, jobs=2)
+
+
+@pytest.mark.parametrize("folds", [None, 2])
+def test_tree_pool_raises_warnings_in_serial_order(folds, two_usable_cores, monkeypatch):
+    fit_fold = NuisanceCache._fit_fold
+
+    def warn_and_fit(cache, level, v):
+        warnings.warn(f"{level.name} fold {v} {level.key}")
+        return fit_fold(cache, level, v)
+
+    monkeypatch.setattr(NuisanceCache, "_fit_fold", warn_and_fit)  # forked workers inherit it
+    frame = generate(DgpSpec("sim1_meps_like"), 400, seed=26)
+    config = DecompositionConfig(crossfit_folds=folds, seed=1)
+    seen = []
+    for jobs in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            decompose(frame, config, ("natural", "sequential"), jobs=jobs)
+        seen.append([(w.category, str(w.message)) for w in caught])
+    assert seen[0] == seen[1]
+    pi_fits = [f"pi fold {v} {('pi', 'correct')}" for v in range(folds or 1)]
+    assert [message for _, message in seen[0][: len(pi_fits)]] == pi_fits  # level by level, then by fold
+
+
+@pytest.mark.parametrize("folds", [None, 2])
+def test_tree_pool_raises_the_serial_error_whatever_the_dispatch_order(folds, two_usable_cores, monkeypatch):
+    frame = generate(DgpSpec("sim1_meps_like"), 400, seed=27)
+    config = DecompositionConfig(crossfit_folds=folds, seed=2)
+    serial = decompose(frame, config)[0].to_json()
+    tasks = nuisance._tasks
+    monkeypatch.setattr(nuisance, "_tasks", lambda trees, n_folds: tasks(trees, n_folds)[::-1])
+    assert decompose(frame, config, jobs=2)[0].to_json() == serial
+
+    monkeypatch.setattr(nuisance, "_tasks", tasks)
+    fit_fold = NuisanceCache._fit_fold
+    last = (folds or 1) - 1
+
+    def fail(cache, level, v):
+        # pi is a one-level tree early in the plan, so it goes out late; a
+        # C_B level ends a three-level tree, which goes out first
+        warnings.warn(f"fit {level.key} fold {v}")
+        if level.label == "pi" and v == last:
+            raise NuisanceError(f"pi fails in fold {v}")
+        if level.label == "C_B":
+            raise LearnerError(f"{level.key} fails in fold {v}")
+        return fit_fold(cache, level, v)
+
+    monkeypatch.setattr(NuisanceCache, "_fit_fold", fail)
+    natural = [EstimandId.adv(), EstimandId.dis()] + [EstimandId.mediator(k) for k in range(1, 5)]
+    plan = NuisanceCache(frame, folds=folds)._plan(natural)
+    trees = nuisance._trees(plan)
+    assert plan[0].label == "pi"
+    assert [level.label for _, level in trees[nuisance._tasks(trees, folds or 1)[0][0]]] == ["mu", "B", "C_B"]
+    errors = []
+    for jobs in (1, 2):
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(Exception) as info:
+            warnings.simplefilter("always")
+            decompose(frame, config, jobs=jobs)
+        errors.append((type(info.value), str(info.value), [str(w.message) for w in caught]))
+    # a serial walk stops at pi's failing fold, so it warns of nothing after it
+    pi_fits = [f"fit {('pi', 'correct')} fold {v}" for v in range(last + 1)]
+    assert errors[0] == errors[1] == (NuisanceError, f"pi fails in fold {last}", pi_fits)

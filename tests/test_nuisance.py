@@ -3,7 +3,7 @@ import pytest
 
 from pathshift.data import AnalysisFrame
 from pathshift import nuisance
-from pathshift.learners import LearnerSpec
+from pathshift.learners import LearnerSpec, SuperLearnerConfig
 from pathshift.nuisance import EstimandId, NuisanceCache, NuisanceError, NuisanceLearners, fit_all
 from pathshift.oracle import ExactNuisances, population_frame
 from pathshift.simulation import DgpSpec, Sim2Exact, generate
@@ -290,34 +290,48 @@ def test_propensity_recovers_generating_logit_on_sim2():
 
 # -- the fold pool ---------------------------------------------------------------
 
+SMALL_SL = NuisanceLearners(
+    binary=SuperLearnerConfig(candidates=(LearnerSpec("mean"), LearnerSpec("logistic")), cv_folds=3),
+    continuous=SuperLearnerConfig(
+        candidates=(LearnerSpec("linear"), LearnerSpec("boosted_stumps", rounds=20)), cv_folds=3
+    ),
+)
 POOL_ESTIMANDS = (EstimandId.adv(), EstimandId.mediator(1), EstimandId.sequential(2), EstimandId.direct())
 
 
 def test_prefit_fills_the_cache_from_fold_workers(monkeypatch):
     monkeypatch.setattr(nuisance, "usable_cores", lambda: 2)
     frame = generate(DgpSpec("sim2_misspec"), 600, seed=22)
-    serial = NuisanceCache(frame, folds=3, seed=5)
-    pooled = NuisanceCache(frame, folds=3, seed=5)
-    pooled.prefit(POOL_ESTIMANDS, jobs=2)
-    assert pooled._store and all(not level.models for level in pooled._store.values())  # models stay in the workers
+    for learners, folds in ((None, 3), (None, None), (SMALL_SL, None)):
+        serial = NuisanceCache(frame, learners, folds=folds, seed=5)
+        pooled = NuisanceCache(frame, learners, folds=folds, seed=5)
+        pooled.prefit(POOL_ESTIMANDS, jobs=2)
+        assert pooled._store and all(not level.models for level in pooled._store.values())  # models stay in the workers
 
-    def refit(level, v):
-        raise AssertionError(f"refit {level.key} fold {v}")
+        def refit(level, v):
+            raise AssertionError(f"refit {level.key} fold {v}")
 
-    monkeypatch.setattr(pooled, "_fit_fold", refit)
-    for estimand in POOL_ESTIMANDS:
-        a = fit_all(frame, estimand, cache=serial)
-        b = fit_all(frame, estimand, cache=pooled)
-        assert np.array_equal(a.pi, b.pi)
-        assert a.g.keys() == b.g.keys() and all(np.array_equal(a.g[k], b.g[k]) for k in a.g)
-        assert all(np.array_equal(qa, qb) for qa, qb in zip(a.Q, b.Q, strict=True))
-    assert pooled.diagnostics() == serial.diagnostics()
+        monkeypatch.setattr(pooled, "_fit_fold", refit)
+        for estimand in POOL_ESTIMANDS:
+            a = fit_all(frame, estimand, cache=serial)
+            b = fit_all(frame, estimand, cache=pooled)
+            assert np.array_equal(a.pi, b.pi)
+            assert a.g.keys() == b.g.keys() and all(np.array_equal(a.g[k], b.g[k]) for k in a.g)
+            assert all(np.array_equal(qa, qb) for qa, qb in zip(a.Q, b.Q, strict=True))
+        assert pooled.diagnostics() == serial.diagnostics()
 
 
-def test_prefit_starts_no_pool_with_one_fold_or_one_job(monkeypatch):
-    monkeypatch.setattr(nuisance, "usable_cores", lambda: 2)
+def test_prefit_starts_no_pool_for_one_job_one_core_or_one_task(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(nuisance, "ProcessPoolExecutor", no_pool)
     frame = small_frame(200, seed=24)
-    for folds, jobs in ((None, 2), (3, 1)):
+    for folds, jobs, cores in ((3, 1, 2), (3, 2, 1), (None, 2, 2)):
+        monkeypatch.setattr(nuisance, "usable_cores", lambda cores=cores: cores)
         cache = NuisanceCache(frame, folds=folds, seed=0)
+        if folds is None:
+            cache.pi()  # leaves one task: the outcome level, in one fold
+        fitted = set(cache._store)
         cache.prefit(POOL_ESTIMANDS[:1], jobs=jobs)
-        assert not cache._store
+        assert set(cache._store) == fitted
