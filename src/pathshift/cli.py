@@ -318,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", default="1000", help="comma-separated sample sizes")
     p_sim.add_argument("--reps", type=int, default=100)
     p_sim.add_argument("--conditions", default="correct", help="correct | false | robustness | sl")
-    p_sim.add_argument("--truth-draws", type=int, default=2_000_000)
+    p_sim.add_argument("--truth-draws", type=int, default=2_000_000,
+                       help="Monte-Carlo draws of each sim1 truth (sim2 truths are exact)")
     p_sim.add_argument("--out", default=".")
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--threads", type=_threads, default=usable_cores())

@@ -258,7 +258,8 @@ class NuisanceCache:
         self.learners = learners or NuisanceLearners()
         self.delta = float(delta)
         self.seed = int(seed)
-        self.x_alt = x_alt
+        # contiguous like the frame's arrays: one fold fits and predicts on the design itself
+        self.x_alt = None if x_alt is None else np.ascontiguousarray(x_alt)
         self.route = dict(route or {})
         if self.route and x_alt is None:
             raise NuisanceError("feature routing requires an alternative covariate matrix")
@@ -359,7 +360,8 @@ class NuisanceCache:
 
     def _fit_fold(self, level: _Level, v: int) -> np.ndarray:
         """Fit the level on fold v's training rows; returns its predictions on
-        fold v's test rows. With one fold, both are every row.
+        fold v's test rows. With one fold, both are every row, and the design
+        is used as it is rather than copied through an all-True mask.
 
         A chain level's response is Y at the outcome level. Otherwise it is
         the parent's prediction on the training rows: with one fold the
@@ -370,12 +372,14 @@ class NuisanceCache:
         test = self.fold_labels == v
         train_rows = ~test if self.n_folds > 1 else test
         feats = self._features(level.name, level.prefix)
+        whole = self.n_folds == 1
         if level.stratum is None:
             resp = self.frame.r[train_rows].astype(float)
             if resp.min() == resp.max():
                 raise NuisanceError("a training split contains a single group level")
             model = train(
-                self.learners.binary, feats[train_rows], resp, "probability", self._seed(level.key), strata=resp
+                self.learners.binary, feats if whole else feats[train_rows], resp, "probability",
+                self._seed(level.key), strata=resp,
             )
         else:
             rows = train_rows & (self.frame.r == level.stratum)
@@ -393,7 +397,7 @@ class NuisanceCache:
                 model = train(self.learners.continuous, feats[rows], resp, "continuous", seed)
         if self.n_folds > 1:
             level.models[v] = model
-        return model.predict(feats[test])
+        return model.predict(feats if whole else feats[test])
 
     def _merge(self, level: _Level, preds: list[np.ndarray]) -> _Level:
         """Store the level's out-of-fold vector, built from each fold's test-row

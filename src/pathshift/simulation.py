@@ -13,8 +13,9 @@ the enumeration oracle:
   x_false = (x1^2, e^x2, x3^0.3, (x4 + x3^0.3)/(e^x2 + x1^2)).
 
 ``truth_for(spec, target)`` is the one route to a ground truth: discrete
-toys are enumerated exactly, and the other DGPs are simulated by Monte Carlo
-over the structural cascade, with a contrast's two means sharing their draws.
+toys are enumerated exactly, sim2 means come in closed form from
+:class:`Sim2Exact`, and sim1 is simulated by Monte Carlo over the structural
+cascade, with a contrast's two means sharing their draws.
 
 ``run_grid`` replicates estimation over (estimand x n x method) cells with
 per-replicate seeds ``base_seed + rep`` and aggregates bias/SD/MSE/coverage
@@ -119,39 +120,30 @@ def _draw(gens: dict, streams: dict, n: int) -> dict:
 # sim2: four uniform covariates, normal mediators and outcome
 # ---------------------------------------------------------------------------
 
-# stream id -> (sampler, columns per row; 0 for a flat vector). Streams 1 (the
-# group R) and 6 (the outcome noise) are drawn for observed data only.
-_SIM2_STREAMS = {0: ("random", 4), **{s: ("standard_normal", 0) for s in range(2, 6)}}
-_SIM2_OBSERVED = {**_SIM2_STREAMS, 1: ("random", 0), 6: ("standard_normal", 0)}
+# stream id -> (sampler, columns per row; 0 for a flat vector)
+_SIM2_OBSERVED = {0: ("random", 4), 1: ("random", 0), **{s: ("standard_normal", 0) for s in range(2, 7)}}
 
 
-def _sim2_columns(spec: DgpSpec, d: dict, arms: tuple | None = None, r0: int | None = None):
-    """Evaluate the sim2 cascade on the draws ``d``; with ``arms`` set, the
-    counterfactual one."""
+def _sim2_columns(spec: DgpSpec, d: dict):
+    """Evaluate the sim2 cascade on the draws ``d``; returns (x, r, mediators,
+    the outcome's conditional mean)."""
     c = spec.coeffs
     x = d[0]
     n = x.shape[0]
-    if arms is None:
-        r = (d[1] < expit(np.column_stack([np.ones(n), x]) @ c["V_R"])).astype(float)
-        r_for = [r] * 4
-        r_y = r
-    else:
-        r_for = [np.full(n, float(a)) for a in arms]
-        r_y = np.full(n, float(r0))
+    r = (d[1] < expit(np.column_stack([np.ones(n), x]) @ c["V_R"])).astype(float)
     ms = []
     for k in range(1, 5):
-        design = np.column_stack([np.ones(n), x, r_for[k - 1]] + ms)
+        design = np.column_stack([np.ones(n), x, r] + ms)
         mean = design @ c[f"V_M{k}"]
         ms.append(mean + d[1 + k])
-    design_y = np.column_stack([np.ones(n), x, r_y] + ms)
+    design_y = np.column_stack([np.ones(n), x, r] + ms)
     ey = design_y @ c["V_Y"]
-    return x, r_for, ms, ey
+    return x, r, ms, ey
 
 
 def _generate_sim2(spec: DgpSpec, n: int, seed: int) -> AnalysisFrame:
     d = _draw(_generators(_SIM2_OBSERVED, seed), _SIM2_OBSERVED, n)
-    x, r_for, ms, ey = _sim2_columns(spec, d)
-    r = r_for[0]
+    x, r, ms, ey = _sim2_columns(spec, d)
     y = ey + d[6]
     return AnalysisFrame(
         x=x,
@@ -455,23 +447,15 @@ TRUTH_CHUNK = 1_000_000
 TRUTH_BLOCK = 16_384
 
 
-def _outcome_mean(spec: DgpSpec, d: dict, r0: int, arms: tuple) -> np.ndarray:
-    """Expected outcome given one counterfactual cascade draw, per row."""
-    if spec.kind == "sim2_misspec":
-        return _sim2_columns(spec, d, arms=arms, r0=r0)[3]
-    y_star = _sim1_cascade(spec, d, arms=arms, r0=r0)[3]
-    return expit(y_star) * 0.4 * y_star
-
-
 def _chunk_values(spec: DgpSpec, settings: tuple, m: int, seed: int, chunk: int) -> np.ndarray:
-    """One chunk's m per-draw values of a mean (one arm setting ``(r0, arms)``)
-    or of a contrast (two settings, the first minus the second).
+    """One chunk's m per-draw values of a sim1 mean (one arm setting
+    ``(r0, arms)``) or of a contrast (two settings, the first minus the second):
+    the expected composite outcome given a counterfactual cascade draw.
 
     Every block draws the next rows of each stream once and evaluates every
     setting on them, so the settings of a contrast are coupled draw by draw.
     """
-    streams = _SIM2_STREAMS if spec.kind == "sim2_misspec" else _SIM1_STREAMS
-    gens = _generators(streams, seed, chunk)
+    gens = _generators(_SIM1_STREAMS, seed, chunk)
     edges = list(range(0, m, TRUTH_BLOCK)) + [m]
     if len(edges) > 2 and m - edges[-2] == 1:
         # numpy computes a one-row product as a dot product, which rounds
@@ -480,8 +464,9 @@ def _chunk_values(spec: DgpSpec, settings: tuple, m: int, seed: int, chunk: int)
         del edges[-2]
     out = np.empty(m)
     for lo, hi in zip(edges, edges[1:]):
-        d = _draw(gens, streams, hi - lo)
-        out[lo:hi] = _difference([_outcome_mean(spec, d, r0, arms) for r0, arms in settings])
+        d = _draw(gens, _SIM1_STREAMS, hi - lo)
+        y_stars = (_sim1_cascade(spec, d, arms=arms, r0=r0)[3] for r0, arms in settings)
+        out[lo:hi] = _difference([expit(y) * 0.4 * y for y in y_stars])
     return out
 
 
@@ -492,8 +477,6 @@ def _mc_mean(spec: DgpSpec, settings: tuple, n_draws: int, seed: int) -> TruthVa
     bulk work); their sums are added in chunk order, so the result does not
     depend on the thread count.
     """
-    if n_draws < 1:
-        raise SimulationError(f"truth draws must be >= 1, got {n_draws}")
     sizes = [min(TRUTH_CHUNK, n_draws - lo) for lo in range(0, n_draws, TRUTH_CHUNK)]
 
     def moments(chunk: int) -> tuple[float, float]:
@@ -514,18 +497,24 @@ def _mc_mean(spec: DgpSpec, settings: tuple, n_draws: int, seed: int) -> TruthVa
 def truth_for(spec: DgpSpec, target: "EstimandId | RhoSpec", n_draws: int = 2_000_000, seed: int = 977) -> TruthValue:
     """Ground truth of a counterfactual mean or of a contrast of two.
 
-    Discrete DGPs are enumerated exactly. Otherwise the outcome's conditional
-    mean given a simulated cascade is averaged (same estimand, smaller
-    Monte-Carlo error); sim1 truths are on the composite indicator-times-log
-    scale the estimators target. A contrast's two means share their random
-    streams draw by draw, which makes its Monte-Carlo error far smaller than
-    for independent draws.
+    Discrete DGPs are enumerated exactly and sim2 means are read from the
+    closed form of :class:`Sim2Exact`; both come with SE 0 and no draws. For
+    sim1, ``n_draws`` counterfactual cascades are drawn and the outcome's
+    conditional mean given each is averaged (same estimand, smaller
+    Monte-Carlo error), on the composite indicator-times-log scale the
+    estimators target. A contrast's two means share their random streams
+    draw by draw, which makes its Monte-Carlo error far smaller than for
+    independent draws.
     """
     K = spec.n_blocks
     target.validate(K)
     means = _means(target)
     if spec.kind == "discrete_toy":
         return TruthValue(_difference([oracle_mod.enumerate_gamma(spec.tables, e) for e in means]), 0.0, 0)
+    if n_draws < 1:
+        raise SimulationError(f"truth draws must be >= 1, got {n_draws}")
+    if spec.kind == "sim2_misspec":
+        return TruthValue(_difference([Sim2Exact(spec).gamma(e) for e in means]), 0.0, 0)
     return _mc_mean(spec, tuple((e.r0, e.mediator_arms(K)) for e in means), n_draws, seed)
 
 
@@ -811,7 +800,7 @@ def _aggregate_cell(estimand, n, method, results, truth: TruthValue, gamma_exact
     bias_centered = None
     if gamma_exact is not None and ok[0][3] is not None:
         hbar = np.array([r[3] for r in ok])
-        bias_centered = float(np.mean(points - hbar) + gamma_exact - truth.value)
+        bias_centered = float(np.mean(points - hbar) - (truth.value - gamma_exact))
     return CellResult(
         estimand=estimand.label,
         n=n,

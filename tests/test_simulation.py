@@ -18,6 +18,7 @@ from pathshift.simulation import (
     Sim2Exact,
     SimReport,
     SimulationError,
+    TruthValue,
     generate,
     glm_false_method,
     glm_method,
@@ -145,11 +146,21 @@ def test_misspecify_replaces_only_covariates():
 
 # -- truths -------------------------------------------------------------------------
 
-def test_counterfactual_truth_all_zero_arms_is_reference_mean():
-    spec = DgpSpec("sim2_misspec")
-    truth = truth_for(spec, EstimandId.shift(0, (0, 0, 0, 0)), n_draws=500_000, seed=1)
-    exact = Sim2Exact(spec).gamma(EstimandId.dis())
-    assert abs(truth.value - exact) <= 4 * truth.se
+def _sim2_cascade_mean(spec, estimand, n_draws, seed):
+    """Reference sim2 mean: the outcome's conditional mean averaged over
+    n_draws counterfactual cascades, each mediator drawn with R at its own arm
+    and the outcome with R = r0. A fixed seed gives every estimand the same
+    draws. Returns (mean, its standard error)."""
+    c = spec.coeffs
+    rng = np.random.default_rng(seed)
+    x = rng.random((n_draws, 4))
+    ones = np.ones(n_draws)
+    ms = []
+    for k, arm in enumerate(estimand.mediator_arms(4), start=1):
+        design = np.column_stack([ones, x, np.full(n_draws, float(arm))] + ms)
+        ms.append(design @ c[f"V_M{k}"] + rng.standard_normal(n_draws))
+    ey = np.column_stack([ones, x, np.full(n_draws, float(estimand.r0))] + ms) @ c["V_Y"]
+    return float(ey.mean()), float(ey.std() / np.sqrt(n_draws))
 
 
 def test_closed_form_matches_cascade_for_every_estimand():
@@ -157,14 +168,24 @@ def test_closed_form_matches_cascade_for_every_estimand():
     exact = Sim2Exact(spec)
     frame = generate(spec, 20_000, seed=2)
     for estimand in [
-        EstimandId.adv(), EstimandId.direct(), EstimandId.mediator(2), EstimandId.sequential(3),
+        EstimandId.dis(), EstimandId.adv(), EstimandId.direct(), EstimandId.mediator(2), EstimandId.sequential(3),
         EstimandId.shift(0, (1, 0, 1, 1)), EstimandId.shift(1, (0, 1, 1, 0)), EstimandId.shift(0, (0, 1, 0, 1)),
     ]:
-        truth = truth_for(spec, estimand, n_draws=500_000, seed=2)
-        assert abs(truth.value - exact.gamma(estimand)) <= 4 * truth.se, estimand.label
+        mean, se = _sim2_cascade_mean(spec, estimand, 500_000, seed=2)
+        assert abs(mean - exact.gamma(estimand)) <= 4 * se, estimand.label
         # the one-step estimate at the exact nuisances is unbiased for it too
         est = estimate(frame, exact.nuisance_set(frame, estimand))
         assert abs(est.point - exact.gamma(estimand)) <= 4 * est.se, estimand.label
+
+
+def test_sim2_truth_is_the_closed_form():
+    spec = DgpSpec("sim2_misspec")
+    exact = Sim2Exact(spec)
+    mean = truth_for(spec, EstimandId.mediator(2))
+    assert (mean.value.hex(), mean.se, mean.n_draws) == (exact.gamma(EstimandId.mediator(2)).hex(), 0.0, 0)
+    rho = truth_for(spec, RhoSpec.mediator(1))
+    expected = exact.gamma(EstimandId.mediator(1)) - exact.gamma(EstimandId.dis())
+    assert (rho.value.hex(), rho.se, rho.n_draws) == (expected.hex(), 0.0, 0)
 
 
 def test_discrete_truth_is_exact_enumeration():
@@ -201,16 +222,20 @@ def _arm_settings(spec, estimand):
 
 
 def _whole_chunk(spec, settings, m, seed, chunk):
-    """Reference per-draw values of one chunk: every stream drawn and each arm
-    setting's cascade evaluated over the whole chunk at once."""
-    streams = simulation._SIM2_STREAMS if spec.kind == "sim2_misspec" else simulation._SIM1_STREAMS
+    """Reference per-draw values of one sim1 chunk: every stream drawn and each
+    arm setting's cascade evaluated over the whole chunk at once."""
     d = {}
-    for stream, (sampler, cols) in streams.items():
+    for stream, (sampler, cols) in simulation._SIM1_STREAMS.items():
         rng = np.random.default_rng(np.random.SeedSequence([seed, stream, chunk]))
         d[stream] = getattr(rng, sampler)((m, cols) if cols else m)
-    vals = simulation._outcome_mean(spec, d, *settings[0])
+
+    def outcome_mean(r0, arms):
+        y_star = simulation._sim1_cascade(spec, d, arms=arms, r0=r0)[3]
+        return expit(y_star) * 0.4 * y_star
+
+    vals = outcome_mean(*settings[0])
     if len(settings) == 2:
-        vals = vals - simulation._outcome_mean(spec, d, *settings[1])
+        vals = vals - outcome_mean(*settings[1])
     return vals
 
 
@@ -231,14 +256,12 @@ def _serial_truth(chunk_values, n_draws):
 TRUTH_PINS = {
     ("sim1_meps_like", "gamma_mediator_2"): ("0x1.1bc238876e656p+0", "0x1.4418bec8b93d2p-7"),
     ("sim1_meps_like", "rho[gamma_mediator_1-gamma_dis]"): ("0x1.84583e68c1a1cp-3", "0x1.282e8c903e230p-9"),
-    ("sim2_misspec", "gamma_mediator_2"): ("0x1.5c4d6a3d16524p-2", "0x1.2225a8545efd0p-8"),
-    ("sim2_misspec", "rho[gamma_mediator_1-gamma_dis]"): ("0x1.83efd2fafdfc7p-5", "0x0.0p+0"),
 }
 # a single block, a ragged last block, and a ragged second chunk
 PARITY_DRAWS = (1, 16_385, 1_000_001, 2_345_679)
 
 
-@pytest.mark.parametrize("kind", ["sim1_meps_like", "sim2_misspec"])
+@pytest.mark.parametrize("kind", ["sim1_meps_like"])
 @pytest.mark.parametrize("estimand", [EstimandId.mediator(2), RhoSpec.mediator(1)], ids=["mean", "contrast"])
 def test_blocked_threaded_truth_is_bit_identical_to_whole_chunk_loop(kind, estimand, monkeypatch):
     spec = DgpSpec(kind)
@@ -283,6 +306,23 @@ def test_run_grid_single_rep_degenerate_aggregation():
     assert cell.reps == 1
     assert cell.sd == 0.0
     assert cell.coverage in (0.0, 1.0)
+
+
+def test_centred_bias_against_an_exact_truth_is_the_mean_of_point_minus_hbar():
+    # for these values (a + g) - g != a in floating point, so the truth's
+    # offset from the exact mean must be formed before it is subtracted
+    estimand = EstimandId.direct()
+    points, hbars = np.array([0.31, 0.29, 0.335]), np.array([0.3, 0.3, 0.3])
+    results = [("ok", {estimand.label: (p, p - 0.1, p + 0.1, h)}) for p, h in zip(points, hbars)]
+    results.append(("error", "ValueError()"))
+
+    def centred(truth, gamma_exact):
+        return simulation._aggregate_cell(estimand, 800, glm_method(), results, TruthValue(truth, 0.0, 0), gamma_exact)
+
+    cell = centred(0.7, 0.7)
+    assert cell.bias_centered == float(np.mean(points - hbars))
+    assert (cell.reps, cell.failures) == (3, 1)
+    assert centred(0.75, 0.7).bias_centered == pytest.approx(np.mean(points - hbars) - 0.05, abs=1e-15)
 
 
 def test_run_grid_mse_identity_and_consistency():
