@@ -168,7 +168,7 @@ def test_closed_form_matches_cascade_for_every_estimand():
     exact = Sim2Exact(spec)
     frame = generate(spec, 20_000, seed=2)
     for estimand in [
-        EstimandId.dis(), EstimandId.adv(), EstimandId.direct(), EstimandId.mediator(2), EstimandId.sequential(3),
+        EstimandId.adv(), EstimandId.direct(), EstimandId.mediator(2), EstimandId.sequential(3),
         EstimandId.shift(0, (1, 0, 1, 1)), EstimandId.shift(1, (0, 1, 1, 0)), EstimandId.shift(0, (0, 1, 0, 1)),
     ]:
         mean, se = _sim2_cascade_mean(spec, estimand, 500_000, seed=2)
@@ -176,6 +176,15 @@ def test_closed_form_matches_cascade_for_every_estimand():
         # the one-step estimate at the exact nuisances is unbiased for it too
         est = estimate(frame, exact.nuisance_set(frame, estimand))
         assert abs(est.point - exact.gamma(estimand)) <= 4 * est.se, estimand.label
+
+
+def test_counterfactual_truth_all_zero_arms_is_reference_mean():
+    spec = DgpSpec("sim2_misspec")
+    exact = Sim2Exact(spec).gamma(EstimandId.dis())
+    truth = truth_for(spec, EstimandId.shift(0, (0, 0, 0, 0)))
+    assert (truth.value.hex(), truth.se) == (exact.hex(), 0.0)
+    mean, se = _sim2_cascade_mean(spec, EstimandId.shift(0, (0, 0, 0, 0)), 500_000, seed=1)
+    assert abs(mean - exact) <= 4 * se
 
 
 def test_sim2_truth_is_the_closed_form():
