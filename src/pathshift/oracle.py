@@ -304,45 +304,45 @@ class SampledStates:
     y_idx: np.ndarray
 
 
-def _cumulative(table: np.ndarray) -> np.ndarray:
-    """Running sums over a table's last axis as ``(categories, rows)``: entry
-    ``[j, row]`` is P(category <= j) in the row-major flattened row ``row``."""
-    return np.ascontiguousarray(np.cumsum(table, axis=-1).reshape(-1, table.shape[-1]).T)
+def _thresholds(table: np.ndarray) -> np.ndarray:
+    """Each row's s - 1 smallest running sums over the last axis, sorted, as ``(s - 1, rows)`` (rows row-major)."""
+    sums = np.sort(np.cumsum(table, axis=-1).reshape(-1, table.shape[-1]), axis=-1)
+    return np.ascontiguousarray(sums[:, :-1].T)
 
 
-def _cascade(cdfs: list[np.ndarray], row, rng: np.random.Generator, n: int):
-    """Draw one category per level, levels in order, from cumulative tables;
-    yields each level's categories.
+def _cascade(levels: list[np.ndarray], row, rng: np.random.Generator, n: int):
+    """Draw one category per level from ``_thresholds`` tables, levels in order;
+    yields each level's categories as an intp array.
 
     ``row`` is the flat index of each draw's row in the first table (``0`` for
     a one-row table); after a level with s categories it becomes
     ``row * s + category``, the row of the next table. A category is the
-    number of cumulative entries below its uniform, capped at s - 1. Every
-    entry is counted, so a CDF made non-monotone by an entry just below zero
-    (see ``TABLE_TOL``) draws as it would from the rows' own running sums.
+    number of its row's thresholds below its uniform. That is the number of
+    all s running sums below it, capped at s - 1, even where an entry just
+    below zero (see ``TABLE_TOL``) makes the sums non-monotone.
     """
-    for level, cdf in enumerate(cdfs):
+    for level, thresholds in enumerate(levels):
         u = rng.random(n)
-        idx = np.zeros(n, dtype=np.intp)
-        for column in cdf:
+        idx = (u > thresholds[0].take(row)).astype(np.intp) if len(thresholds) else np.zeros(n, np.intp)
+        for column in thresholds[1:]:
             idx += u > column.take(row)
-        yield np.minimum(idx, cdf.shape[0] - 1, out=idx)
-        if level + 1 < len(cdfs):
-            row = row * cdf.shape[0] + idx
+        yield idx
+        if level + 1 < len(levels):
+            row = row * (len(thresholds) + 1) + idx
 
 
 def sample(dgp: DiscreteDgp, n: int, seed: int = 0) -> tuple[AnalysisFrame, SampledStates]:
     """Draw n observations from the observed-data law of the DGP.
 
     One generator seeded ``(seed, n)`` draws n uniforms for X, then R, then
-    each mediator in order, then Y. Categories come from cumulative tables
-    over the full ``(sx, 2, ...)`` tables, indexed by each row's flat history.
+    each mediator in order, then Y. ``_cascade`` draws the categories from the
+    full ``(sx, 2, ...)`` tables, indexed by each row's flat history.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
-    (x_idx,) = _cascade([_cumulative(dgp.p_x)], 0, rng, n)
+    (x_idx,) = _cascade([_thresholds(dgp.p_x)], 0, rng, n)
     r = (rng.random(n) < dgp.p_r1[x_idx]).astype(np.int8)
-    cdfs = [_cumulative(med.table) for med in dgp.mediators] + [_cumulative(dgp.p_y)]
-    *m_idx, y_idx = _cascade(cdfs, x_idx * 2 + r, rng, n)
+    levels = [_thresholds(med.table) for med in dgp.mediators] + [_thresholds(dgp.p_y)]
+    *m_idx, y_idx = _cascade(levels, x_idx * 2 + r, rng, n)
 
     frame = AnalysisFrame(
         x=dgp.x_values[x_idx],
@@ -390,26 +390,26 @@ def cascade_mc(dgp: DiscreteDgp, estimand: EstimandId, n_draws: int, seed: int =
     law, each mediator at the estimand's arm and Y at r0, then Y is averaged.
     One generator seeded ``(seed, 2718, n_draws)`` serves chunks of up to 10^6
     draws; a chunk takes one uniform per draw for X, then for each mediator,
-    then for Y. The cumulative tables are built once per call.
+    then for Y. The ``_thresholds`` tables are built once per call.
     """
     if n_draws < 1:
         raise OracleError(f"Monte-Carlo draws must be >= 1, got {n_draws}")
     estimand.validate(dgp.n_blocks)
     arms = estimand.mediator_arms(dgp.n_blocks)
-    cdfs = [_cumulative(dgp.p_x)]
-    cdfs += [_cumulative(med.table[:, arm]) for med, arm in zip(dgp.mediators, arms)]
-    cdfs.append(_cumulative(dgp.p_y[:, estimand.r0]))
+    levels = [_thresholds(dgp.p_x)]
+    levels += [_thresholds(med.table[:, arm]) for med, arm in zip(dgp.mediators, arms)]
+    levels.append(_thresholds(dgp.p_y[:, estimand.r0]))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2718, n_draws]))
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < n_draws:
         m = min(1_000_000, n_draws - done)
-        for y_idx in _cascade(cdfs, 0, rng, m):
+        for y_idx in _cascade(levels, 0, rng, m):
             pass  # only the outcome level is kept
         y = dgp.y_values[y_idx]
         total += float(y.sum())
-        total_sq += float((y**2).sum())
+        total_sq += float(np.square(y, out=y).sum())
         done += m
     mean = total / n_draws
     var = max(total_sq / n_draws - mean**2, 0.0)

@@ -771,7 +771,7 @@ def run_grid(
         "base_seed": base_seed,
         "reps": reps,
         "alpha": alpha,
-        "truth_draws": truth_draws,
+        "truth_draws": max((t.n_draws for t in truths.values()), default=0),
         "truth_seed": truth_seed,
         "truths": {k: [v.value, v.se] for k, v in truths.items()},
         "oracle_centering": oracle_centering,

@@ -12,8 +12,10 @@ from pathshift.oracle import (
     MediatorTable,
     OracleError,
     SampledStates,
+    _cascade,
     _configurations,
     _ExactRows,
+    _thresholds,
     cascade_mc,
     enumerate_gamma,
     one_step_population_value,
@@ -340,6 +342,69 @@ def test_non_monotone_cdf_draws_as_the_row_sampler(monkeypatch):
     assert_sample_matches_reference(dgp, 6, seed=0)
     for estimand in all_estimands(dgp):
         assert cascade_mc(dgp, estimand, 6) == reference_cascade_mc(dgp, estimand, 6)
+
+
+def reference_cascade(tables, row, rng):
+    """``_cascade`` by the rule it replaced (``_draw_categorical``): a category
+    is the number of its row's running sums below its uniform, capped at s - 1."""
+    for table in tables:
+        idx = _draw_categorical(table.reshape(-1, table.shape[-1])[row], rng)
+        yield idx
+        row = row * table.shape[-1] + idx
+
+
+def boundary_draws(table):
+    """Rows and uniforms with one draw on each running sum of each row and one
+    on the float either side of it."""
+    sums = np.cumsum(table, axis=-1).reshape(-1, table.shape[-1])
+    u = np.stack([np.nextafter(sums, -np.inf), sums, np.nextafter(sums, np.inf)], axis=-1)
+    return np.repeat(np.arange(sums.shape[0]), u.shape[1] * 3), u.ravel()
+
+
+@pytest.mark.parametrize("builder", [toy_k2, non_monotone_dgp])
+def test_cascade_draws_as_the_capped_count_on_every_running_sum(builder):
+    dgp = builder()
+    one_category = np.ones((2, 1))
+    for table in [dgp.p_x, *(med.table for med in dgp.mediators), dgp.p_y, one_category]:
+        rows, u = boundary_draws(table)
+        (ours,) = _cascade([_thresholds(table)], rows, FixedUniforms(u), u.size)
+        (theirs,) = reference_cascade([table], rows, FixedUniforms(u))
+        assert ours.dtype == np.intp and np.array_equal(ours, theirs)
+    # the levels of ``sample`` after R in turn, each under the same uniforms
+    tables = [med.table for med in dgp.mediators] + [dgp.p_y]
+    rows, u = boundary_draws(tables[0])
+    ours = list(_cascade([_thresholds(t) for t in tables], rows, FixedUniforms(u), u.size))
+    theirs = list(reference_cascade(tables, rows, FixedUniforms(u)))
+    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs, strict=True))
+
+
+class RecordingGenerator(np.random.Generator):
+    """``default_rng``'s generator, recording the arguments of every ``random`` call."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = []
+
+    def random(self, *args, **kwargs):
+        self.calls.append((args, kwargs))
+        return super().random(*args, **kwargs)
+
+
+def test_cascade_mc_draws_one_chunk_of_uniforms_per_level(monkeypatch):
+    # the layout that keeps cascade_mc bit-identical to the row sampler: per
+    # chunk, one positional random(m) per level (X, each mediator, Y)
+    dgp, estimand = toy_k2(), EstimandId.mediator(1)
+    expected = cascade_mc(dgp, estimand, 1_000_001, seed=5)
+    generators = []
+
+    def recording_rng(seed):
+        generators.append(RecordingGenerator(seed))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    assert cascade_mc(dgp, estimand, 1_000_001, seed=5) == expected
+    levels = dgp.n_blocks + 2
+    assert [g.calls for g in generators] == [[((1_000_000,), {})] * levels + [((1,), {})] * levels]
 
 
 def test_density_ratio_equals_g_odds_ratio():

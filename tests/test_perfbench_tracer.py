@@ -5,7 +5,8 @@ of them breaks traced benchmark runs. Entering and leaving the tracer, with
 no workload run in between, catches that in a second. A small traced
 ``decompose --decomposition both`` run checks that the reports reach the
 traced report builders and fit each nuisance once, and a traced truth checks
-that its worker threads cross no traced boundary.
+that its worker threads cross no traced boundary. A traced ``oracle-check``
+must time each estimand's Monte-Carlo mean as one span.
 """
 
 import importlib.util
@@ -15,6 +16,7 @@ import os
 from pathshift import cli, simulation
 from pathshift.data import build_frame, load_csv, role_spec_from_config
 from pathshift.decomposition import DecompositionConfig, decompose_natural, decompose_sequential
+from pathshift.toys import fixture_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -71,3 +73,17 @@ def test_traced_truth_records_only_its_own_span():
     with tracer:
         simulation.truth_for(spec, simulation.RhoSpec.mediator(1), n_draws=simulation.TRUTH_CHUNK + 1)
     assert [span[0] for span in tracer.spans] == ["simulation.truth_for"]
+
+
+def test_traced_oracle_check_records_one_cascade_span_per_estimand(capsys):
+    module = _load_tracer()
+    tracer = module.Tracer()
+    with tracer:
+        assert cli.main(["oracle-check", "--fixture", fixture_path("toy_k1"), "--mc-draws", "5000", "--seed", "3"]) == 0
+    estimand_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+    spans = [span for span in tracer.spans if span[0] == "oracle.cascade_mc"]
+    assert len(spans) == len(estimand_lines) == 5  # dis, adv, direct, mediator(1), sequential(1)
+    assert [span[4] for span in spans] == [{"draws": 5000}] * 5
+    main = [i for i, span in enumerate(tracer.spans) if span[0] == "cli.main"]
+    assert len(main) == 1 and all(span[3] == main[0] for span in spans)
+    assert module.layer_metrics(tracer.spans)["oracle.mc_draws_per_s"] > 0

@@ -334,6 +334,21 @@ def test_centred_bias_against_an_exact_truth_is_the_mean_of_point_minus_hbar():
     assert centred(0.75, 0.7).bias_centered == pytest.approx(np.mean(points - hbars) - 0.05, abs=1e-15)
 
 
+def test_grid_meta_names_the_largest_truth_draws():
+    def meta_draws(spec, estimands, truths=None):
+        report = run_grid(spec, estimands, (400,), reps=1, methods=(glm_method(),), truths=truths, truth_draws=20_000)
+        return report.meta["truth_draws"]
+
+    # exact truths take no draws
+    assert meta_draws(DgpSpec("sim2_misspec"), (EstimandId.direct(),)) == 0
+    assert meta_draws(DgpSpec("discrete_toy", tables=toy_k1()), (EstimandId.direct(),)) == 0
+    # sim1 truths drawn here take truth_draws, as the meta read before
+    sim1 = DgpSpec("sim1_meps_like")
+    assert meta_draws(sim1, (EstimandId.mediator(1),)) == 20_000
+    given = {"gamma_mediator_1": TruthValue(0.5, 0.01, 30_000)}
+    assert meta_draws(sim1, (EstimandId.mediator(1), EstimandId.direct()), given) == 30_000
+
+
 def test_run_grid_mse_identity_and_consistency():
     spec = DgpSpec("sim2_misspec")
     estimands = (EstimandId.direct(), EstimandId.mediator(1))
