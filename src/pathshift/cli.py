@@ -33,6 +33,19 @@ from .toys import fixture_path
 ORACLE_TOL = 1e-8
 ORACLE_MC_SIGMAS = 4.0
 
+DGPS = {"sim1": "sim1_meps_like", "sim2": "sim2_misspec"}
+
+# each --conditions choice builds the grid's methods from its estimands and K:
+# one shared tuple, or (robustness) a tuple per estimand label
+CONDITIONS = {
+    "correct": lambda estimands, K: (glm_method(),),
+    "false": lambda estimands, K: (glm_false_method(),),
+    "robustness": lambda estimands, K: {
+        e.label: robustness_conditions(e, K) + (glm_method(), glm_false_method()) for e in estimands
+    },
+    "sl": lambda estimands, K: (sl_method(),),
+}
+
 
 def _load_config(path: str | None) -> dict:
     if not path:
@@ -150,12 +163,12 @@ def cmd_decompose(args) -> int:
     kinds = ("natural", "sequential") if kind == "both" else (kind,)
 
     ds = load_csv(data_path, na_codes=cfg.get("na_codes", ()))
-    sections = []
+    reports = []
     tables = []
     for pair, pair_roles in zip(pairs, roles):
         frame = build_frame(ds, pair_roles)
         for one_kind, report in zip(kinds, decompose(frame, decomp_config, kinds, jobs=args.threads)):
-            sections.append(report.to_dict())
+            reports.append(report)
             title = (
                 f"{one_kind} decomposition: comparison={pair['comparison']} vs "
                 f"reference={pair['reference']} (n={frame.n})"
@@ -165,11 +178,12 @@ def cmd_decompose(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "decomposition.json")
     with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump({"seed": seed, "scale": scale, "reports": sections}, handle, indent=2, sort_keys=True)
+        payload = {"seed": seed, "scale": scale, "reports": [report.to_dict() for report in reports]}
+        json.dump(payload, handle, indent=2, sort_keys=True)
     csv_path = os.path.join(args.out, "decomposition.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-        for section in sections:
-            handle.write(DecompositionReport.from_dict(section).to_csv())
+        for report in reports:
+            handle.write(report.to_csv())
     print("\n\n".join(tables))
     print(f"\nwrote {json_path} and {csv_path}")
     return 0
@@ -200,37 +214,15 @@ def _parse_estimands(text: str):
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
-    if args.dgp == "sim1":
-        spec = DgpSpec("sim1_meps_like", seed=seed)
-    elif args.dgp == "sim2":
-        spec = DgpSpec("sim2_misspec", seed=seed)
-    else:
-        print(f"error: unknown --dgp {args.dgp!r}", file=sys.stderr)
-        return 2
-
+    spec = DgpSpec(DGPS[args.dgp], seed=seed)
     estimands = _parse_estimands(args.estimands)
     n_list = tuple(int(v) for v in args.n.split(","))
-
-    if args.conditions == "robustness":
-        methods = {
-            e.label: robustness_conditions(e, spec.n_blocks) + (glm_method(), glm_false_method()) for e in estimands
-        }
-    elif args.conditions == "correct":
-        methods = (glm_method(),)
-    elif args.conditions == "false":
-        methods = (glm_false_method(),)
-    elif args.conditions == "sl":
-        methods = (sl_method(),)
-    else:
-        print(f"error: unknown --conditions {args.conditions!r}", file=sys.stderr)
-        return 2
-
     report = run_grid(
         spec,
         estimands,
         n_list,
         reps=args.reps,
-        methods=methods,
+        methods=CONDITIONS[args.conditions](estimands, spec.n_blocks),
         base_seed=seed,
         truth_draws=args.truth_draws,
         n_jobs=args.threads,
@@ -313,11 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=cmd_decompose)
 
     p_sim = sub.add_parser("simulate", help="run a replication grid on a built-in DGP")
-    p_sim.add_argument("--dgp", choices=["sim1", "sim2"], required=True)
+    p_sim.add_argument("--dgp", choices=list(DGPS), required=True)
     p_sim.add_argument("--estimands", default="direct,mediator1,mediator2,mediator3,mediator4")
     p_sim.add_argument("--n", default="1000", help="comma-separated sample sizes")
     p_sim.add_argument("--reps", type=int, default=100)
-    p_sim.add_argument("--conditions", default="correct", help="correct | false | robustness | sl")
+    p_sim.add_argument("--conditions", choices=list(CONDITIONS), default="correct")
     p_sim.add_argument("--truth-draws", type=int, default=2_000_000,
                        help="Monte-Carlo draws of each sim1 truth (sim2 truths are exact)")
     p_sim.add_argument("--out", default=".")

@@ -161,6 +161,8 @@ class DecompositionConfig:
     def __post_init__(self):
         if self.scale not in ("difference", "geometric", "probability"):
             raise DecompositionError(f"unknown reporting scale {self.scale!r}")
+        if not 0 < self.alpha < 1:
+            raise DecompositionError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
 def _component_scale(config: DecompositionConfig, frame: AnalysisFrame) -> str:

@@ -31,10 +31,6 @@ class LearnerError(ValueError):
     """A learner could not be fit on the data it was given."""
 
 
-class SingularFitError(LearnerError):
-    """Normal equations are singular and no ridge fallback was requested."""
-
-
 @dataclass(frozen=True)
 class LearnerSpec:
     """Description of a single candidate learner.
@@ -140,13 +136,12 @@ def fit_linear(
     y: np.ndarray,
     ridge_lambda: float = 0.0,
     feature_policy: str = "main_effects",
-    fallback_ridge: bool = True,
 ) -> FittedModel:
     """(Ridge) least squares with an unpenalized intercept.
 
     Minimizes ``sum((y - b.x)^2) + ridge_lambda * ||b[1:]||^2``. With
-    ``ridge_lambda == 0`` and singular normal equations, either falls back to
-    a tiny ridge (``fallback_ridge=True``) or raises :class:`SingularFitError`.
+    ``ridge_lambda == 0`` and singular normal equations, falls back to a tiny
+    ridge and records ``singular_fallback`` in the training metadata.
     """
     x, y = _check_inputs(x, y)
     xe = expand_features(x, feature_policy)
@@ -167,8 +162,6 @@ def fit_linear(
     else:
         rank = np.linalg.matrix_rank(gram)
         if rank < p:
-            if not fallback_ridge:
-                raise SingularFitError("singular normal equations with ridge_lambda = 0")
             meta["singular_fallback"] = True
             beta = solve(1e-8)
         else:

@@ -170,8 +170,6 @@ class NuisanceSet:
     g: dict[int, np.ndarray] = field(default_factory=dict)
     Q: list[np.ndarray] = field(default_factory=list)
     delta: float = DEFAULT_DELTA
-    fold_assignment: np.ndarray | None = None
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def chain(self) -> tuple[tuple[int, int], ...]:
@@ -277,10 +275,6 @@ class NuisanceCache:
     @property
     def n_blocks(self) -> int:
         return self.frame.n_blocks
-
-    @property
-    def fold_assignment(self) -> np.ndarray | None:
-        return self.fold_labels if self.n_folds > 1 else None
 
     # -- plumbing ----------------------------------------------------------
 
@@ -552,17 +546,6 @@ def _walk_tree(task: tuple[int, int]) -> tuple[dict, list[tuple], tuple | None]:
     return preds, caught, error
 
 
-class ExactProvider:
-    """Base of the exact-nuisance providers that the oracles hand to
-    :func:`fit_all`: nothing is fit, truncated or cross-fit."""
-
-    delta = 0.0
-    fold_assignment = None
-
-    def diagnostics(self) -> dict:
-        return {}
-
-
 def fit_all(
     frame: AnalysisFrame | None,
     estimand: EstimandId,
@@ -576,9 +559,9 @@ def fit_all(
 
     ``cache`` is the provider of the nuisances: a :class:`NuisanceCache` (built
     from ``frame`` and the fit settings when omitted), or an exact-nuisance
-    oracle with the same ``pi``/``g``/``level``/``rows`` methods, in which case
-    ``frame`` may be None. g_0 is never asked for: the propensity score plays
-    its role.
+    oracle with the same ``n_blocks``, ``pi``/``g``/``level``/``rows`` and
+    ``delta`` (0 for exact nuisances), in which case ``frame`` may be None.
+    g_0 is never asked for: the propensity score plays its role.
     """
     if cache is None:
         cache = NuisanceCache(frame, learners, delta, folds, seed)
@@ -596,8 +579,6 @@ def fit_all(
         g=g,
         Q=[cache.rows(level) for level in levels],
         delta=cache.delta,
-        fold_assignment=cache.fold_assignment,
-        diagnostics=cache.diagnostics(),
     )
     q.validate()
     return q

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AnalysisFrame
-from .nuisance import EstimandId, ExactProvider, NuisanceSet, fit_all
+from .nuisance import EstimandId, NuisanceSet, fit_all
 
 MAX_STATES = 10**7
 TABLE_TOL = 1e-12
@@ -124,10 +124,11 @@ class DiscreteDgp:
     # -- core grids ----------------------------------------------------------
 
     def _grid_weight(self, arms) -> np.ndarray:
-        """prod_k P(m_k | earlier, arm_k, x) over the full mediator grid: (sx, s_1..s_K)."""
-        K = self.n_blocks
-        w = np.ones((self.sx,) + self.sizes)
-        for k, med in enumerate(self.mediators):
+        """prod_{k<=j} P(m_k | earlier, arm_k, x) for the j = len(arms) blocks
+        that ``arms`` gives: (sx, s_1..s_j), the full grid when j = K."""
+        K = len(arms)
+        w = np.ones((self.sx,) + self.sizes[:K])
+        for k, med in enumerate(self.mediators[:K]):
             t = med.table[:, arms[k]]  # (sx, s_1..s_{k-1}, s_k)
             w = w * t.reshape(t.shape + (1,) * (K - k - 1))
         return w
@@ -206,19 +207,11 @@ class ExactNuisances:
     def pi_table(self) -> np.ndarray:
         return self.dgp.p_r1.copy()
 
-    def _joint_upto(self, k: int, arm: int) -> np.ndarray:
-        """prod_{j<=k} P(m_j | earlier, arm, x): shape (sx, s_1..s_k)."""
-        w = np.ones((self.dgp.sx,) + self.dgp.sizes[:k])
-        for j in range(k):
-            t = self.dgp.mediators[j].table[:, arm]
-            w = w * t.reshape(t.shape + (1,) * (k - j - 1))
-        return w
-
     def g_table(self, k: int) -> np.ndarray:
         """P(R=1 | m_1..k, x): shape (sx, s_1..s_k); NaN off the support."""
         pi = self.dgp.p_r1.reshape((-1,) + (1,) * k)
-        a1 = pi * self._joint_upto(k, 1)
-        a0 = (1.0 - pi) * self._joint_upto(k, 0)
+        a1 = pi * self.dgp._grid_weight((1,) * k)
+        a0 = (1.0 - pi) * self.dgp._grid_weight((0,) * k)
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(a1 + a0 > 0, a1 / (a1 + a0), np.nan)
 
@@ -238,8 +231,11 @@ class ExactNuisances:
         return fit_all(None, estimand, cache=_ExactRows(self, states))
 
 
-class _ExactRows(ExactProvider):
-    """Exact nuisance tables looked up at sampled rows; chain levels are tables."""
+class _ExactRows:
+    """Exact nuisance tables looked up at sampled rows; chain levels are tables.
+    Nothing is truncated, so ``delta`` is 0."""
+
+    delta = 0.0
 
     def __init__(self, exact: ExactNuisances, states: "SampledStates"):
         self.exact = exact
@@ -304,6 +300,19 @@ class SampledStates:
     y_idx: np.ndarray
 
 
+def _frame(dgp: DiscreteDgp, r: np.ndarray, states: SampledStates) -> tuple[AnalysisFrame, SampledStates]:
+    """The analysis frame of rows given by their group and category indices."""
+    frame = AnalysisFrame(
+        x=dgp.x_values[states.x_idx],
+        r=r,
+        m_blocks=tuple(med.values[idx][:, None] for med, idx in zip(dgp.mediators, states.m_idx)),
+        y=dgp.y_values[states.y_idx],
+        covariate_names=tuple(f"x{j+1}" for j in range(dgp.x_values.shape[1])),
+        block_names=tuple((f"m{k+1}",) for k in range(dgp.n_blocks)),
+    )
+    return frame, states
+
+
 def _thresholds(table: np.ndarray) -> np.ndarray:
     """Each row's s - 1 smallest running sums over the last axis, sorted, as ``(s - 1, rows)`` (rows row-major)."""
     sums = np.sort(np.cumsum(table, axis=-1).reshape(-1, table.shape[-1]), axis=-1)
@@ -343,16 +352,7 @@ def sample(dgp: DiscreteDgp, n: int, seed: int = 0) -> tuple[AnalysisFrame, Samp
     r = (rng.random(n) < dgp.p_r1[x_idx]).astype(np.int8)
     levels = [_thresholds(med.table) for med in dgp.mediators] + [_thresholds(dgp.p_y)]
     *m_idx, y_idx = _cascade(levels, x_idx * 2 + r, rng, n)
-
-    frame = AnalysisFrame(
-        x=dgp.x_values[x_idx],
-        r=r,
-        m_blocks=tuple(med.values[idx][:, None] for med, idx in zip(dgp.mediators, m_idx)),
-        y=dgp.y_values[y_idx],
-        covariate_names=tuple(f"x{j+1}" for j in range(dgp.x_values.shape[1])),
-        block_names=tuple((f"m{k+1}",) for k in range(dgp.n_blocks)),
-    )
-    return frame, SampledStates(x_idx=x_idx, m_idx=m_idx, y_idx=y_idx)
+    return _frame(dgp, r, SampledStates(x_idx=x_idx, m_idx=m_idx, y_idx=y_idx))
 
 
 def population_frame(dgp: DiscreteDgp, scale: int) -> tuple[AnalysisFrame, SampledStates]:
@@ -369,18 +369,8 @@ def population_frame(dgp: DiscreteDgp, scale: int) -> tuple[AnalysisFrame, Sampl
         raise OracleError("scale does not make every configuration count integral")
     reps = rounded.astype(np.int64)
     keep = np.repeat(np.arange(prob.size), reps)
-    states = SampledStates(
-        x_idx=x_idx[keep], m_idx=[m[keep] for m in m_idx], y_idx=y_idx[keep]
-    )
-    frame = AnalysisFrame(
-        x=dgp.x_values[states.x_idx],
-        r=r_idx[keep].astype(np.int8),
-        m_blocks=tuple(med.values[idx][:, None] for med, idx in zip(dgp.mediators, states.m_idx)),
-        y=dgp.y_values[states.y_idx],
-        covariate_names=tuple(f"x{j+1}" for j in range(dgp.x_values.shape[1])),
-        block_names=tuple((f"m{k+1}",) for k in range(dgp.n_blocks)),
-    )
-    return frame, states
+    states = SampledStates(x_idx=x_idx[keep], m_idx=[m[keep] for m in m_idx], y_idx=y_idx[keep])
+    return _frame(dgp, r_idx[keep].astype(np.int8), states)
 
 
 def cascade_mc(dgp: DiscreteDgp, estimand: EstimandId, n_draws: int, seed: int = 0) -> tuple[float, float]:

@@ -1,5 +1,5 @@
-"""Helpers for the worker pools: the fold pool of ``decompose`` and the
-replicate pool of ``run_grid``."""
+"""Helpers for the worker pools: the tree pool of ``NuisanceCache.prefit``,
+which ``decompose`` uses, and the replicate pool of ``run_grid``."""
 
 from __future__ import annotations
 

@@ -40,7 +40,7 @@ from scipy.special import expit, logit
 from .data import AnalysisFrame
 from .decomposition import contrast
 from .estimators import estimate, gamma_summands
-from .nuisance import EstimandId, ExactProvider, NuisanceCache, NuisanceLearners, NuisanceSet, fit_all
+from .nuisance import EstimandId, NuisanceCache, NuisanceLearners, NuisanceSet, fit_all
 from .learners import default_binary_sl, default_continuous_sl
 from .parallel import _one_blas_thread, usable_cores
 from . import oracle as oracle_mod
@@ -228,10 +228,12 @@ class Sim2Exact:
         return fit_all(frame, estimand, cache=_Sim2Rows(self, frame))
 
 
-class _Sim2Rows(ExactProvider):
-    """Exact sim2 nuisances on a frame's rows; chain levels are linear forms."""
+class _Sim2Rows:
+    """Exact sim2 nuisances on a frame's rows; chain levels are linear forms.
+    Nothing is truncated, so ``delta`` is 0."""
 
     n_blocks = 4
+    delta = 0.0
 
     def __init__(self, exact: Sim2Exact, frame: AnalysisFrame):
         self.exact = exact
@@ -536,8 +538,8 @@ class MethodSpec:
     folds: int | None = None
 
 
-def glm_method(name: str = "glm_correct", route: tuple = (), folds: int | None = None) -> MethodSpec:
-    return MethodSpec(name=name, learners=NuisanceLearners(), route=route, folds=folds)
+def glm_method(name: str = "glm_correct", route: tuple = ()) -> MethodSpec:
+    return MethodSpec(name=name, learners=NuisanceLearners(), route=route)
 
 
 def glm_false_method() -> MethodSpec:
@@ -708,7 +710,8 @@ def run_grid(
     from estimand label to its own tuple (as the robustness grid needs).
     Replicate seeds are ``base_seed + rep``; failures are recorded per cell
     and the run continues. A method that routes any nuisance to x_false is
-    rejected up front unless the DGP is sim2, the only one that defines it.
+    rejected up front unless the DGP is sim2, the only one that defines it,
+    as are a sample size below 1 and an ``alpha`` outside (0, 1).
     ``oracle_centering`` (sim2 only) additionally reports bias measured
     against the exact-influence-function control variate, which strips the
     leading Monte-Carlo noise from the bias estimate without changing its
@@ -716,6 +719,11 @@ def run_grid(
     """
     if reps < 1:
         raise SimulationError("reps must be >= 1")
+    for n in n_list:
+        if n < 1:
+            raise SimulationError(f"sample sizes must be >= 1, got {n}")
+    if not 0 < alpha < 1:
+        raise SimulationError(f"alpha must lie in (0, 1), got {alpha}")
     exact = Sim2Exact(spec) if oracle_centering else None  # raises unless the DGP is sim2
     method_lists = methods.values() if isinstance(methods, dict) else (methods,)
     for method in (m for ms in method_lists for m in ms):

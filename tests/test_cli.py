@@ -4,7 +4,11 @@ import os
 import pytest
 
 from pathshift import nuisance
-from pathshift.cli import main
+from pathshift.cli import _learner_from_config, _parse_estimands, main
+from pathshift.data import DataError
+from pathshift.learners import LearnerSpec, SuperLearnerConfig, default_binary_sl, default_continuous_sl
+from pathshift.nuisance import EstimandId
+from pathshift.simulation import RhoSpec
 from pathshift.toys import fixture_path, toy_k1
 
 
@@ -261,3 +265,95 @@ def test_simulate_rho_estimand_token(tmp_path):
     assert {c["estimand"] for c in payload["cells"]} == {
         "rho[gamma_mediator_1-gamma_dis]", "rho[gamma_direct-gamma_dis]",
     }
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
+def test_decompose_rejects_alpha_outside_the_unit_interval(meps_like_csv, tmp_path, capsys, alpha):
+    _, cfg = meps_like_csv
+    assert main(["decompose", "--config", cfg, "--out", str(tmp_path), "--alpha", alpha]) == 2
+    assert f"alpha must lie in (0, 1), got {float(alpha)}" in capsys.readouterr().err
+    assert not (tmp_path / "decomposition.json").exists()
+
+
+def test_simulate_rejects_a_zero_sample_size(tmp_path, capsys):
+    args = [
+        "simulate", "--dgp", "sim2", "--estimands", "mediator1", "--n", "0", "--reps", "2",
+        "--seed", "1", "--threads", "1", "--out", str(tmp_path),
+    ]
+    assert main(args) == 2
+    assert "sample sizes must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "simreport.json").exists()
+
+
+def test_simulate_rejects_unknown_conditions(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--dgp", "sim2", "--conditions", "bogus", "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "argument --conditions: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg, binary, expected",
+    [
+        ({}, True, LearnerSpec("logistic")),
+        ({"learner": "glm"}, False, LearnerSpec("linear")),
+        ({"learner": "linear", "feature_policy": "quadratic"}, True, LearnerSpec("logistic", "quadratic")),
+        ({"learner": "ridge"}, False, LearnerSpec("ridge", ridge_lambda=0.1)),
+        (
+            {"learner": "ridge", "feature_policy": "quadratic", "ridge": {"lambda": 2}},
+            True,
+            LearnerSpec("ridge", "quadratic", ridge_lambda=2.0),
+        ),
+        ({"learner": "boosted_stumps"}, False, LearnerSpec("boosted_stumps", rounds=100, shrinkage=0.1)),
+        (
+            {"learner": "boosted_stumps", "boosted_stumps": {"rounds": 7, "shrinkage": 0.5}},
+            True,
+            LearnerSpec("boosted_stumps", rounds=7, shrinkage=0.5),
+        ),
+        ({"learner": "knn"}, False, LearnerSpec("knn", knn_k=10)),
+        ({"learner": "knn", "knn": {"k": 3}}, True, LearnerSpec("knn", knn_k=3)),
+        ({"learner": "superlearner"}, True, default_binary_sl()),
+        ({"learner": "superlearner"}, False, default_continuous_sl()),
+        (
+            {"learner": "superlearner", "superlearner": {"candidates": ["mean", {"kind": "knn", "knn_k": 4}]}},
+            False,
+            SuperLearnerConfig((LearnerSpec("mean"), LearnerSpec("knn", knn_k=4)), cv_folds=5, loss="squared_error"),
+        ),
+        (
+            {"learner": "superlearner", "superlearner": {"candidates": ["logistic"], "cv_folds": 3, "loss": "log_loss"}},
+            True,
+            SuperLearnerConfig((LearnerSpec("logistic"),), cv_folds=3, loss="log_loss"),
+        ),
+    ],
+)
+def test_learner_config_vocabulary(cfg, binary, expected):
+    assert _learner_from_config(cfg, binary) == expected
+
+
+def test_learner_config_rejects_an_unknown_learner():
+    with pytest.raises(DataError, match="unknown learner 'forest' in config"):
+        _learner_from_config({"learner": "forest"}, binary=True)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("dis", (EstimandId.dis(),)),
+        ("adv", (EstimandId.adv(),)),
+        ("direct", (EstimandId.direct(),)),
+        ("mediator3", (EstimandId.mediator(3),)),
+        ("sequential2", (EstimandId.sequential(2),)),
+        ("rho_direct", (RhoSpec.direct(),)),
+        ("rho_total", (RhoSpec.total(),)),
+        ("rho_mediator4", (RhoSpec.mediator(4),)),
+        (" dis , sequential1,rho_total ", (EstimandId.dis(), EstimandId.sequential(1), RhoSpec.total())),
+    ],
+)
+def test_estimand_token_vocabulary(text, expected):
+    assert _parse_estimands(text) == expected
+
+
+@pytest.mark.parametrize("token", ["bogus", "total", ""])
+def test_estimand_tokens_reject_unknown_names(token):
+    with pytest.raises(DataError, match=f"unknown estimand token {token!r}"):
+        _parse_estimands(f"direct,{token}")

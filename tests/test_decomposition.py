@@ -227,6 +227,12 @@ def test_decompose_dispatch():
         decompose(frame, kinds=("natural", "upside_down"))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
+def test_config_rejects_alpha_outside_the_unit_interval(alpha):
+    with pytest.raises(DecompositionError, match=rf"alpha must lie in \(0, 1\), got {alpha}"):
+        DecompositionConfig(alpha=alpha)
+
+
 def test_component_invariants_enforced():
     with pytest.raises(DecompositionError, match="CI does not contain"):
         DisparityComponent("total", 1.0, 0.1, (2.0, 3.0), 0.5)

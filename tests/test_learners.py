@@ -9,7 +9,6 @@ from pathshift.learners import (
     FittedModel,
     LearnerError,
     LearnerSpec,
-    SingularFitError,
     SuperLearnerConfig,
     expand_features,
     fit_boosted_stumps,
@@ -67,9 +66,7 @@ def test_ridge_training_rss_monotone_in_lambda():
 def test_singular_normal_equations():
     x = np.column_stack([np.ones(5), np.ones(5)])  # duplicated column
     y = np.arange(5.0)
-    with pytest.raises(SingularFitError):
-        fit_linear(x, y, fallback_ridge=False)
-    model = fit_linear(x, y, fallback_ridge=True)
+    model = fit_linear(x, y)
     assert model.training_meta.get("singular_fallback")
     assert np.isfinite(model.predict(x)).all()
 

@@ -182,27 +182,32 @@ def test_fit_all_requires_only_needed_nuisances():
 
 def test_single_fold_equals_no_crossfitting():
     frame = small_frame(500, seed=13)
-    q_none = fit_all(frame, EstimandId.mediator(2), seed=4, folds=None)
-    q_one = fit_all(frame, EstimandId.mediator(2), seed=4, folds=1)
+    c_none = NuisanceCache(frame, folds=None, seed=4)
+    c_one = NuisanceCache(frame, folds=1, seed=4)
+    q_none = fit_all(frame, EstimandId.mediator(2), cache=c_none)
+    q_one = fit_all(frame, EstimandId.mediator(2), cache=c_one)
     assert np.array_equal(q_none.pi, q_one.pi)
     assert all(np.array_equal(a, b) for a, b in zip(q_none.Q, q_one.Q, strict=True))
-    assert q_none.fold_assignment is None and q_one.fold_assignment is None
+    for cache in (c_none, c_one):
+        assert cache.n_folds == 1 and not cache.fold_labels.any()
 
 
 def test_fit_all_deterministic_given_seed():
     frame = small_frame(500, seed=14)
-    a = fit_all(frame, EstimandId.mediator(1), seed=5, folds=3)
-    b = fit_all(frame, EstimandId.mediator(1), seed=5, folds=3)
+    ca, cb = NuisanceCache(frame, folds=3, seed=5), NuisanceCache(frame, folds=3, seed=5)
+    a = fit_all(frame, EstimandId.mediator(1), cache=ca)
+    b = fit_all(frame, EstimandId.mediator(1), cache=cb)
     assert np.array_equal(a.pi, b.pi)
     assert all(np.array_equal(u, v) for u, v in zip(a.Q, b.Q, strict=True))
-    assert np.array_equal(a.fold_assignment, b.fold_assignment)
+    assert np.array_equal(ca.fold_labels, cb.fold_labels)
 
 
 def test_crossfit_runs_and_validates():
     frame = generate(DgpSpec("sim2_misspec"), 1200, seed=15)
-    q = fit_all(frame, EstimandId.mediator(2), seed=6, folds=5)
+    cache = NuisanceCache(frame, folds=5, seed=6)
+    q = fit_all(frame, EstimandId.mediator(2), cache=cache)
     q.validate()
-    assert q.fold_assignment is not None
+    assert cache.n_folds == 5 and set(cache.fold_labels.tolist()) == set(range(5))
     assert all(np.isfinite(v).all() for v in q.Q)
 
 

@@ -307,6 +307,27 @@ def test_truth_rejects_nonpositive_draws():
 
 # -- grid ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "n_list, alpha, message",
+    [
+        ((0,), 0.05, "sample sizes must be >= 1, got 0"),
+        ((400, -3), 0.05, "sample sizes must be >= 1, got -3"),
+        ((400,), 0.0, r"alpha must lie in \(0, 1\), got 0.0"),
+        ((400,), 1.0, r"alpha must lie in \(0, 1\), got 1.0"),
+        ((400,), 1.5, r"alpha must lie in \(0, 1\), got 1.5"),
+        ((400,), float("nan"), r"alpha must lie in \(0, 1\), got nan"),
+    ],
+)
+def test_run_grid_rejects_bad_sizes_and_alpha_before_any_work(monkeypatch, n_list, alpha, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a truth was computed for an invalid grid")
+
+    monkeypatch.setattr(simulation, "truth_for", no_work)
+    monkeypatch.setattr(simulation, "_run_one_rep", no_work)
+    with pytest.raises(SimulationError, match=message):
+        run_grid(DgpSpec("sim2_misspec"), (EstimandId.direct(),), n_list, reps=2, methods=(glm_method(),), alpha=alpha)
+
+
 def test_run_grid_single_rep_degenerate_aggregation():
     spec = DgpSpec("sim2_misspec")
     estimands = (EstimandId.direct(),)
