@@ -62,20 +62,18 @@ def _resolve_seed(args) -> int:
 
 def _learner_from_config(cfg: dict, binary: bool) -> "LearnerSpec | SuperLearnerConfig":
     name = cfg.get("learner", "glm")
+    policy = cfg.get("feature_policy", "main_effects")
     if name in ("glm", "linear", "logistic"):
-        return LearnerSpec("logistic" if binary else "linear", cfg.get("feature_policy", "main_effects"))
+        return LearnerSpec("logistic" if binary else "linear", policy)
     if name == "ridge":
-        ridge = cfg.get("ridge", {})
-        return LearnerSpec(
-            "ridge",
-            cfg.get("feature_policy", "main_effects"),
-            ridge_lambda=float(ridge.get("lambda", 0.1)),
-        )
+        return LearnerSpec("ridge", policy, ridge_lambda=float(cfg.get("ridge", {}).get("lambda", 0.1)))
     if name == "boosted_stumps":
         b = cfg.get("boosted_stumps", {})
-        return LearnerSpec("boosted_stumps", rounds=int(b.get("rounds", 100)), shrinkage=float(b.get("shrinkage", 0.1)))
+        return LearnerSpec(
+            "boosted_stumps", policy, rounds=int(b.get("rounds", 100)), shrinkage=float(b.get("shrinkage", 0.1))
+        )
     if name == "knn":
-        return LearnerSpec("knn", knn_k=int(cfg.get("knn", {}).get("k", 10)))
+        return LearnerSpec("knn", policy, knn_k=int(cfg.get("knn", {}).get("k", 10)))
     if name == "superlearner":
         sl = cfg.get("superlearner", {})
         if "candidates" in sl:
@@ -110,6 +108,9 @@ def _format_table(title: str, report: DecompositionReport, k: int) -> str:
 
 
 def cmd_decompose(args) -> int:
+    """Decompose each configured group pair and write one JSON and one CSV
+    report. The dataset is released once the last pair's frame is built, so
+    that pair's decompose, and the pool it forks, run without the table."""
     cfg = _load_config(args.config)
     seed = _resolve_seed(args)
     scale = args.scale or cfg.get("scale", "difference")
@@ -165,8 +166,10 @@ def cmd_decompose(args) -> int:
     ds = load_csv(data_path, na_codes=cfg.get("na_codes", ()))
     reports = []
     tables = []
-    for pair, pair_roles in zip(pairs, roles):
+    for i, (pair, pair_roles) in enumerate(zip(pairs, roles)):
         frame = build_frame(ds, pair_roles)
+        if i == len(pairs) - 1:
+            del ds
         for one_kind, report in zip(kinds, decompose(frame, decomp_config, kinds, jobs=args.threads)):
             reports.append(report)
             title = (
@@ -189,6 +192,13 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _block(token: str, prefix: str) -> int:
+    try:
+        return int(token.removeprefix(prefix))
+    except ValueError:
+        raise DataError(f"estimand token {token!r} needs a block number, as in {prefix}1") from None
+
+
 def _parse_estimands(text: str):
     out = []
     for token in text.split(","):
@@ -200,11 +210,11 @@ def _parse_estimands(text: str):
         elif token == "rho_total":
             out.append(RhoSpec.total())
         elif token.startswith("rho_mediator"):
-            out.append(RhoSpec.mediator(int(token.removeprefix("rho_mediator"))))
+            out.append(RhoSpec.mediator(_block(token, "rho_mediator")))
         elif token.startswith("mediator"):
-            out.append(EstimandId.mediator(int(token.removeprefix("mediator"))))
+            out.append(EstimandId.mediator(_block(token, "mediator")))
         elif token.startswith("sequential"):
-            out.append(EstimandId.sequential(int(token.removeprefix("sequential"))))
+            out.append(EstimandId.sequential(_block(token, "sequential")))
         elif token in ("dis", "adv"):
             out.append(EstimandId(token))
         else:

@@ -289,7 +289,7 @@ class NuisanceCache:
 
     def _features(self, name: str, prefix: int) -> np.ndarray:
         x = self._covariates(name)
-        return np.hstack([self.frame.m_upto(prefix), x]) if prefix else x
+        return np.hstack([*self.frame.m_blocks[:prefix], x]) if prefix else x
 
     def _seed(self, key: tuple) -> int:
         return _seed_from(self.seed, key)
@@ -395,10 +395,14 @@ class NuisanceCache:
 
     def _merge(self, level: _Level, preds: list[np.ndarray]) -> _Level:
         """Store the level's out-of-fold vector, built from each fold's test-row
-        predictions; a binary level's is clipped into [delta, 1 - delta]."""
-        oof = np.empty(self.frame.n)
-        for v, pred in enumerate(preds):
-            oof[self.fold_labels == v] = pred
+        predictions; a binary level's is clipped into [delta, 1 - delta]. With
+        one fold, the fold's prediction vector is kept as it is, not copied."""
+        if self.n_folds == 1:
+            (oof,) = preds
+        else:
+            oof = np.empty(self.frame.n)
+            for v, pred in enumerate(preds):
+                oof[self.fold_labels == v] = pred
         level.oof = self._clip(level.name, oof) if level.stratum is None else oof
         self._store[level.key] = level
         return level

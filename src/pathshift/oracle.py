@@ -325,7 +325,9 @@ def _cascade(levels: list[np.ndarray], row, rng: np.random.Generator, n: int):
 
     ``row`` is the flat index of each draw's row in the first table (``0`` for
     a one-row table); after a level with s categories it becomes
-    ``row * s + category``, the row of the next table. A category is the
+    ``row * s + category``, the row of the next table. That is a new array
+    after the first level, so the caller's ``row`` is never written, and the
+    same array updated in place after each later one. A category is the
     number of its row's thresholds below its uniform. That is the number of
     all s running sums below it, capped at s - 1, even where an entry just
     below zero (see ``TABLE_TOL``) makes the sums non-monotone.
@@ -336,8 +338,13 @@ def _cascade(levels: list[np.ndarray], row, rng: np.random.Generator, n: int):
         for column in thresholds[1:]:
             idx += u > column.take(row)
         yield idx
-        if level + 1 < len(levels):
+        if level + 1 == len(levels):
+            break
+        if level == 0:
             row = row * (len(thresholds) + 1) + idx
+        else:
+            row *= len(thresholds) + 1
+            row += idx
 
 
 def sample(dgp: DiscreteDgp, n: int, seed: int = 0) -> tuple[AnalysisFrame, SampledStates]:

@@ -1,9 +1,10 @@
 import json
 import os
+import weakref
 
 import pytest
 
-from pathshift import nuisance
+from pathshift import cli, nuisance
 from pathshift.cli import _learner_from_config, _parse_estimands, main
 from pathshift.data import DataError
 from pathshift.learners import LearnerSpec, SuperLearnerConfig, default_binary_sl, default_continuous_sl
@@ -56,16 +57,45 @@ def test_decompose_seed_reproducible_bytes(meps_like_csv, tmp_path):
     assert (out1 / "decomposition.json").read_bytes() == (out2 / "decomposition.json").read_bytes()
 
 
-def test_decompose_crossfit_bytes_match_across_thread_counts(meps_like_csv, tmp_path, monkeypatch):
-    monkeypatch.setattr(nuisance, "usable_cores", lambda: 2)  # the fold pool runs on any host
+@pytest.mark.parametrize("folds", ["1", "2"])
+def test_decompose_crossfit_bytes_match_across_thread_counts(meps_like_csv, tmp_path, monkeypatch, folds):
+    # one fold keeps each level's single prediction vector as it is; two merge them
+    monkeypatch.setattr(nuisance, "usable_cores", lambda: 2)  # the tree pool runs on any host
     _, cfg = meps_like_csv
     threads = {"pool_a": "2", "pool_b": "2", "serial": "1"}
     for name, count in threads.items():
         argv = ["decompose", "--config", cfg, "--out", str(tmp_path / name), "--seed", "6",
-                "--crossfit-folds", "2", "--decomposition", "both", "--threads", count]
+                "--crossfit-folds", folds, "--decomposition", "both", "--threads", count]
         assert main(argv) == 0
     outputs = {name: (tmp_path / name / "decomposition.json").read_bytes() for name in threads}
     assert outputs["pool_a"] == outputs["pool_b"] == outputs["serial"]
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2])
+def test_decompose_releases_the_dataset_before_the_last_pair(meps_like_csv, tmp_path, monkeypatch, n_pairs):
+    _, cfg_path = meps_like_csv
+    cfg = json.loads(open(cfg_path).read())
+    cfg["group"]["pairs"] = [{"reference": 1, "comparison": 2}, {"reference": 2, "comparison": 1}][:n_pairs]
+    new_cfg = tmp_path / "pairs.json"
+    new_cfg.write_text(json.dumps(cfg))
+    real_load, real_decompose = cli.load_csv, cli.decompose
+    loaded, alive = [], []
+
+    def load_csv(*args, **kwargs):
+        ds = real_load(*args, **kwargs)
+        loaded.append(weakref.ref(ds))
+        return ds
+
+    def decompose(*args, **kwargs):
+        alive.append(loaded[0]() is not None)
+        return real_decompose(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_csv", load_csv)
+    monkeypatch.setattr(cli, "decompose", decompose)
+    assert main(["decompose", "--config", str(new_cfg), "--out", str(tmp_path / "out"), "--seed", "2",
+                 "--threads", "1"]) == 0
+    assert len(loaded) == 1
+    assert alive == [True] * (n_pairs - 1) + [False]
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -324,6 +354,13 @@ def test_simulate_rejects_unknown_conditions(tmp_path, capsys):
             True,
             SuperLearnerConfig((LearnerSpec("logistic"),), cv_folds=3, loss="log_loss"),
         ),
+        # boosted stumps and knn expand their features by the policy too
+        (
+            {"learner": "boosted_stumps", "feature_policy": "quadratic"},
+            True,
+            LearnerSpec("boosted_stumps", "quadratic", rounds=100, shrinkage=0.1),
+        ),
+        ({"learner": "knn", "feature_policy": "quadratic", "knn": {"k": 3}}, False, LearnerSpec("knn", "quadratic", knn_k=3)),
     ],
 )
 def test_learner_config_vocabulary(cfg, binary, expected):
@@ -351,6 +388,15 @@ def test_learner_config_rejects_an_unknown_learner():
 )
 def test_estimand_token_vocabulary(text, expected):
     assert _parse_estimands(text) == expected
+
+
+@pytest.mark.parametrize("token", ["mediator", "sequential", "rho_mediator"])
+def test_estimand_token_without_a_block_number_is_named(tmp_path, capsys, token):
+    args = ["simulate", "--dgp", "sim2", "--estimands", f"direct,{token}", "--n", "300", "--reps", "1",
+            "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert f"estimand token {token!r} needs a block number, as in {token}1" in capsys.readouterr().err
+    assert not (tmp_path / "simreport.json").exists()
 
 
 @pytest.mark.parametrize("token", ["bogus", "total", ""])

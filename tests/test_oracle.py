@@ -370,10 +370,13 @@ def test_cascade_draws_as_the_capped_count_on_every_running_sum(builder):
         (ours,) = _cascade([_thresholds(table)], rows, FixedUniforms(u), u.size)
         (theirs,) = reference_cascade([table], rows, FixedUniforms(u))
         assert ours.dtype == np.intp and np.array_equal(ours, theirs)
-    # the levels of ``sample`` after R in turn, each under the same uniforms
+    # the levels of ``sample`` after R in turn, each under the same uniforms;
+    # later levels advance the row index in place, but never the caller's
     tables = [med.table for med in dgp.mediators] + [dgp.p_y]
     rows, u = boundary_draws(tables[0])
+    before = rows.copy()
     ours = list(_cascade([_thresholds(t) for t in tables], rows, FixedUniforms(u), u.size))
+    assert np.array_equal(rows, before)
     theirs = list(reference_cascade(tables, rows, FixedUniforms(u)))
     assert all(np.array_equal(a, b) for a, b in zip(ours, theirs, strict=True))
 
