@@ -20,10 +20,9 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import AnalysisFrame
-from .estimators import GammaEstimate, estimate
+from .estimators import GammaEstimate, estimate, wald
 from .nuisance import EstimandId, NuisanceCache, NuisanceLearners, fit_all
 
 SCALES = ("difference", "geometric_ratio", "probability_difference")
@@ -121,12 +120,7 @@ def contrast(a: GammaEstimate, b: GammaEstimate, label: str = "contrast", alpha:
     se = float(np.sqrt(np.mean(eif**2) / a.n))
     if not np.isfinite(se):
         raise DecompositionError(f"component {label}: non-finite standard error {se} from the influence-function values")
-    z = norm.ppf(1 - alpha / 2)
-    ci = (point - z * se, point + z * se)
-    if se > 0:
-        p_value = float(2.0 * norm.sf(abs(point) / se))
-    else:
-        p_value = 1.0 if point == 0 else 0.0
+    ci, p_value = wald(point, se, alpha)
     return DisparityComponent(label=label, point=point, se=se, ci=ci, p_value=p_value)
 
 

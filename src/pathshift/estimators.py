@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .data import AnalysisFrame
 from .nuisance import EstimandId, NuisanceSet
@@ -61,10 +62,16 @@ class GammaEstimate:
         return se
 
     def ci(self, alpha: float = 0.05) -> tuple[float, float]:
-        from scipy.stats import norm
+        return wald(self.point, self.se, alpha)[0]
 
-        z = norm.ppf(1 - alpha / 2)
-        return (self.point - z * self.se, self.point + z * self.se)
+
+def wald(point: float, se: float, alpha: float) -> tuple[tuple[float, float], float]:
+    """Two-sided Wald CI at level 1 - alpha and the normal p-value of point / se."""
+    z = ndtri(1 - alpha / 2)
+    ci = (point - z * se, point + z * se)
+    if se > 0:
+        return ci, float(2.0 * ndtr(-abs(point) / se))
+    return ci, 1.0 if point == 0 else 0.0
 
 
 def _odds(g: np.ndarray, power: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Self-contained supervised learners and a convex-combination super learner.
 
 Every nuisance regression in the pipeline is fit through this module. The
-learner set is deliberately dependency-free (plain numpy/scipy linear algebra)
+learner set is deliberately self-contained (every solve is numpy.linalg)
 so that results are bit-reproducible from a seed: closed-form (ridge) least
 squares, IRLS logistic regression, depth-1 gradient-boosted stumps, k-nearest
 neighbours, a saturated frequency-table learner for discrete problems, and a
@@ -192,6 +192,7 @@ def _irls(d: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, int, bo
         dw = d * w[:, None]
         a = dw.T @ d + pen
         b = dw.T @ z
+        del dw  # freed before the next iteration builds its own n x p copy
         try:
             beta_new = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:

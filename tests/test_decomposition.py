@@ -16,7 +16,7 @@ from pathshift.decomposition import (
     to_geometric_scale,
 )
 from pathshift import nuisance
-from pathshift.estimators import estimate
+from pathshift.estimators import GammaEstimate, estimate
 from pathshift.learners import LearnerError, LearnerSpec, SuperLearnerConfig, stratified_folds
 from pathshift.nuisance import EstimandId, NuisanceCache, NuisanceError, NuisanceLearners, fit_all
 from pathshift.oracle import enumerate_gamma, population_frame
@@ -70,6 +70,52 @@ def test_contrast_with_nan_influence_value_names_the_standard_error():
     eif[7] = np.nan
     with pytest.raises(DecompositionError, match="non-finite standard error"):
         contrast(replace(a, eif=eif), b, "total")
+
+
+def _old_wald(point, se, alpha):
+    """The CI and p-value as computed through scipy.stats.norm."""
+    from scipy.stats import norm
+
+    z = norm.ppf(1 - alpha / 2)
+    ci = (point - z * se, point + z * se)
+    p_value = float(2.0 * norm.sf(abs(point) / se)) if se > 0 else (1.0 if point == 0 else 0.0)
+    return ci, p_value
+
+
+def _bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.1, 0.5, 0.999])
+def test_wald_ci_and_p_value_match_scipy_stats_bit_for_bit(alpha):
+    rng = np.random.default_rng(1701)
+    n = 300
+    cases = [(rng.normal(scale=0.3), rng.normal(scale=0.3), rng.exponential(), rng.exponential()) for _ in range(20)]
+    cases += [(40.0, 0.0, 1e-3, 0.0), (0.25, 0.25, 1.0, 1.0), (0.5, 0.25, 0.0, 0.0), (0.25, 0.25, 0.0, 0.0)]
+    for point_a, point_b, scale_a, scale_b in cases:
+        eif_a, eif_b = scale_a * rng.standard_normal(n), scale_b * rng.standard_normal(n)
+        a = GammaEstimate(EstimandId.adv(), point_a, eif_a - eif_a.mean(), n)
+        b = GammaEstimate(EstimandId.dis(), point_b, eif_b - eif_b.mean(), n)
+        c = contrast(a, b, alpha=alpha)
+        ci, p_value = _old_wald(a.point - b.point, c.se, alpha)
+        assert _bits(c.ci) == _bits(ci) and _bits([c.p_value]) == _bits([p_value])
+        assert all(type(v) is np.float64 for v in c.ci) and type(c.p_value) is float
+        for est in (a, b):
+            assert _bits(est.ci(alpha)) == _bits(_old_wald(est.point, est.se, alpha)[0])
+            assert all(type(v) is np.float64 for v in est.ci(alpha))
+
+
+def test_wald_p_value_underflows_to_zero_and_zero_se_is_exact():
+    n = 100
+    eif = np.tile([1.0, -1.0], n // 2)
+    far = contrast(GammaEstimate(EstimandId.adv(), 50.0, eif, n), GammaEstimate(EstimandId.dis(), 0.0, 0 * eif, n))
+    assert far.se == 0.1 and far.p_value == 0.0 == _old_wald(50.0, 0.1, 0.05)[1]
+    flat = GammaEstimate(EstimandId.adv(), 2.0, np.zeros(n), n)
+    for other, p_value in ((0.5, 0.0), (2.0, 1.0)):
+        c = contrast(flat, GammaEstimate(EstimandId.dis(), other, np.zeros(n), n))
+        assert c.se == 0.0 and c.p_value == p_value and type(c.p_value) is float
+        assert c.ci == (2.0 - other, 2.0 - other)
+    assert flat.ci(0.05) == (2.0, 2.0)
 
 
 def test_total_contrast_matches_enumeration_on_population():
