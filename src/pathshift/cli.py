@@ -17,7 +17,7 @@ from .data import DataError, build_frame, load_csv, role_spec_from_config
 from .decomposition import DecompositionConfig, DecompositionReport, decompose
 from .learners import LearnerSpec, SuperLearnerConfig, default_binary_sl, default_continuous_sl
 from .nuisance import EstimandId, NuisanceLearners
-from .parallel import usable_cores
+from .parallel import steady_heap, usable_cores
 from .oracle import DiscreteDgp, cascade_mc, enumerate_gamma, one_step_population_value
 from .simulation import (
     DgpSpec,
@@ -107,10 +107,13 @@ def _format_table(title: str, report: DecompositionReport, k: int) -> str:
     return "\n".join(lines)
 
 
+@steady_heap()
 def cmd_decompose(args) -> int:
     """Decompose each configured group pair and write one JSON and one CSV
     report. The dataset is released once the last pair's frame is built, so
-    that pair's decompose, and the pool it forks, run without the table."""
+    that pair's decompose, and the pool it forks, run without the table. The
+    heap runs under :func:`steady_heap`, so that the command's peak memory
+    does not depend on what ran before it in the process."""
     cfg = _load_config(args.config)
     seed = _resolve_seed(args)
     scale = args.scale or cfg.get("scale", "difference")
