@@ -271,12 +271,12 @@ def cmd_oracle_check(args) -> int:
     worst_mc = 0.0
     failed = False
     print(f"oracle-check on {path} (K={dgp.n_blocks}, MC draws={args.mc_draws})")
-    for estimand in estimands:
+    mc_means = cascade_mc(dgp, estimands, args.mc_draws, seed)
+    for estimand, (mc, mc_se) in zip(estimands, mc_means):
         enum = enumerate_gamma(dgp, estimand)
         onestep = one_step_population_value(dgp, estimand)
         gap = abs(enum - onestep)
         worst_exact = max(worst_exact, gap)
-        mc, mc_se = cascade_mc(dgp, estimand, args.mc_draws, seed)
         if mc_se > 0:
             mc_gap_sigmas = abs(mc - enum) / mc_se
         else:  # a constant draw matches only if it hits the enumerated mean
@@ -292,7 +292,7 @@ def cmd_oracle_check(args) -> int:
     return 1 if failed else 0
 
 
-def _threads(text: str) -> int:
+def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--delta", type=float, default=None)
     p_dec.add_argument("--crossfit-folds", type=int, default=None)
     p_dec.add_argument("--alpha", type=float, default=None)
-    p_dec.add_argument("--threads", type=_threads, default=usable_cores(),
+    p_dec.add_argument("--threads", type=_at_least_one, default=usable_cores(),
                        help="worker processes for the nuisance fits (default: usable cores)")
     p_dec.set_defaults(func=cmd_decompose)
 
@@ -327,12 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte-Carlo draws of each sim1 truth (sim2 truths are exact)")
     p_sim.add_argument("--out", default=".")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--threads", type=_threads, default=usable_cores())
+    p_sim.add_argument("--threads", type=_at_least_one, default=usable_cores())
     p_sim.set_defaults(func=cmd_simulate)
 
     p_or = sub.add_parser("oracle-check", help="verify estimators against the enumeration oracle")
     p_or.add_argument("--fixture", help="discrete DGP JSON (defaults to the shipped toy)")
-    p_or.add_argument("--mc-draws", type=int, default=1_000_000)
+    p_or.add_argument("--mc-draws", type=_at_least_one, default=1_000_000)
     p_or.add_argument("--seed", type=int, default=None)
     p_or.set_defaults(func=cmd_oracle_check)
 

@@ -319,24 +319,34 @@ def _thresholds(table: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sums[:, :-1].T)
 
 
+def _categories(thresholds: np.ndarray, row, u: np.ndarray) -> np.ndarray:
+    """One category per uniform from a ``_thresholds`` table, as an intp array.
+
+    ``row`` is the flat index of each draw's row (``0`` for a one-row table).
+    A category is the number of its row's thresholds below its uniform. That
+    is the number of all s running sums below it, capped at s - 1, even where
+    an entry just below zero (see ``TABLE_TOL``) makes the sums non-monotone.
+    """
+    if not len(thresholds):
+        return np.zeros(u.size, np.intp)
+    idx = (u > thresholds[0].take(row)).astype(np.intp)
+    for column in thresholds[1:]:
+        idx += u > column.take(row)
+    return idx
+
+
 def _cascade(levels: list[np.ndarray], row, rng: np.random.Generator, n: int):
     """Draw one category per level from ``_thresholds`` tables, levels in order;
-    yields each level's categories as an intp array.
+    yields each level's ``_categories``.
 
-    ``row`` is the flat index of each draw's row in the first table (``0`` for
-    a one-row table); after a level with s categories it becomes
-    ``row * s + category``, the row of the next table. That is a new array
-    after the first level, so the caller's ``row`` is never written, and the
-    same array updated in place after each later one. A category is the
-    number of its row's thresholds below its uniform. That is the number of
-    all s running sums below it, capped at s - 1, even where an entry just
-    below zero (see ``TABLE_TOL``) makes the sums non-monotone.
+    ``row`` is the flat index of each draw's row in the first table; after a
+    level with s categories it becomes ``row * s + category``, the row of the
+    next table. That is a new array after the first level, so the caller's
+    ``row`` is never written, and the same array updated in place after each
+    later one.
     """
     for level, thresholds in enumerate(levels):
-        u = rng.random(n)
-        idx = (u > thresholds[0].take(row)).astype(np.intp) if len(thresholds) else np.zeros(n, np.intp)
-        for column in thresholds[1:]:
-            idx += u > column.take(row)
+        idx = _categories(thresholds, row, rng.random(n))
         yield idx
         if level + 1 == len(levels):
             break
@@ -380,34 +390,85 @@ def population_frame(dgp: DiscreteDgp, scale: int) -> tuple[AnalysisFrame, Sampl
     return _frame(dgp, r_idx[keep].astype(np.int8), states)
 
 
-def cascade_mc(dgp: DiscreteDgp, estimand: EstimandId, n_draws: int, seed: int = 0) -> tuple[float, float]:
-    """Monte-Carlo mean of the counterfactual cascade; returns (mean, se).
+MC_CHUNK = 1_000_000
+MC_BLOCK = 1 << 16
+
+
+def _uniforms(rng: np.random.Generator, state: dict, position: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the uniforms of the PCG64 stream that starts at
+    ``state``, from draw ``position`` on (one 64-bit step per uniform)."""
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(position)
+    rng.random(out=out)
+
+
+def cascade_mc(dgp: DiscreteDgp, estimands, n_draws: int, seed: int = 0) -> list[tuple[float, float]]:
+    """Monte-Carlo means of the counterfactual cascades; one (mean, se) per estimand.
 
     An oracle independent of :func:`enumerate_gamma`: X is drawn from its
     law, each mediator at the estimand's arm and Y at r0, then Y is averaged.
-    One generator seeded ``(seed, 2718, n_draws)`` serves chunks of up to 10^6
-    draws; a chunk takes one uniform per draw for X, then for each mediator,
-    then for Y. The ``_thresholds`` tables are built once per call.
+    Every estimand reads the same stream, that of a generator seeded
+    ``(seed, 2718, n_draws)`` serving chunks of up to 10^6 draws; a chunk takes
+    one uniform per draw for X, then for each mediator, then for Y. So an
+    estimand's mean does not depend on which others share the call.
+
+    A chunk is walked in blocks of 2^16 rows. Each level's uniforms for a block
+    are drawn once, from its place in the stream. The distinct arm prefixes
+    are walked depth first, so each prefix's categories are computed once.
+    Each distinct ``(arms, r0)`` keeps its outcome categories for the chunk,
+    and at the chunk's end its Y values are summed whole.
     """
     if n_draws < 1:
         raise OracleError(f"Monte-Carlo draws must be >= 1, got {n_draws}")
-    estimand.validate(dgp.n_blocks)
-    arms = estimand.mediator_arms(dgp.n_blocks)
-    levels = [_thresholds(dgp.p_x)]
-    levels += [_thresholds(med.table[:, arm]) for med, arm in zip(dgp.mediators, arms)]
-    levels.append(_thresholds(dgp.p_y[:, estimand.r0]))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 2718, n_draws]))
-    total = 0.0
-    total_sq = 0.0
+    K = dgp.n_blocks
+    keys = []
+    for estimand in estimands:
+        estimand.validate(K)
+        keys.append(estimand.mediator_arms(K) + (estimand.r0,))
+    children: dict[tuple, dict] = {}  # arm prefix -> its next arms, in order
+    for key in keys:
+        for depth in range(K + 1):
+            children.setdefault(key[:depth], {})[key[depth]] = None
+    tables = [med.table for med in dgp.mediators] + [dgp.p_y]
+    levels = [[_thresholds(table[:, arm]) for arm in (0, 1)] for table in tables]
+    x_levels = _thresholds(dgp.p_x)
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2718, n_draws])))
+    state = rng.bit_generator.state
+    chunk = min(MC_CHUNK, n_draws)
+    u = np.empty((K + 2, min(MC_BLOCK, chunk)))
+    y_cat = {key: np.empty(chunk, np.min_scalar_type(dgp.y_values.size - 1)) for key in keys}
+    y = np.empty(chunk)
+    sums = {key: [0.0, 0.0] for key in y_cat}
+    sizes = dgp.sizes
+
     done = 0
     while done < n_draws:
-        m = min(1_000_000, n_draws - done)
-        for y_idx in _cascade(levels, 0, rng, m):
-            pass  # only the outcome level is kept
-        y = dgp.y_values[y_idx]
-        total += float(y.sum())
-        total_sq += float(np.square(y, out=y).sum())
+        m = min(chunk, n_draws - done)
+        start = (K + 2) * done
+        for lo in range(0, m, MC_BLOCK):
+            n = min(MC_BLOCK, m - lo)
+            for level in range(K + 2):
+                _uniforms(rng, state, start + level * m + lo, u[level, :n])
+            stack = [((), _categories(x_levels, 0, u[0, :n]))]  # depth first, one row array per prefix
+            while stack:
+                prefix, row = stack.pop()
+                depth = len(prefix)
+                for arm in children[prefix]:
+                    idx = _categories(levels[depth][arm], row, u[depth + 1, :n])
+                    if depth == K:
+                        y_cat[prefix + (arm,)][lo : lo + n] = idx
+                    else:
+                        stack.append((prefix + (arm,), row * sizes[depth] + idx))
+        for key, cats in y_cat.items():
+            y_m = np.take(dgp.y_values, cats[:m], out=y[:m], mode="clip")
+            sums[key][0] += float(y_m.sum())
+            sums[key][1] += float(np.square(y_m, out=y_m).sum())
         done += m
-    mean = total / n_draws
-    var = max(total_sq / n_draws - mean**2, 0.0)
-    return mean, float(np.sqrt(var / n_draws))
+    out = []
+    for key in keys:
+        total, total_sq = sums[key]
+        mean = total / n_draws
+        var = max(total_sq / n_draws - mean**2, 0.0)
+        out.append((mean, float(np.sqrt(var / n_draws))))
+    return out

@@ -196,8 +196,13 @@ def test_simulate_rejects_zero_truth_draws(tmp_path, capsys):
 
 
 def test_oracle_check_rejects_zero_mc_draws(capsys):
-    assert main(["oracle-check", "--mc-draws", "0", "--seed", "1"]) == 2
-    assert "Monte-Carlo draws must be >= 1, got 0" in capsys.readouterr().err
+    # rejected while the arguments are parsed, before the header is printed
+    with pytest.raises(SystemExit) as info:
+        main(["oracle-check", "--mc-draws", "0", "--seed", "1"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --mc-draws: must be >= 1, got 0" in captured.err
 
 
 def test_oracle_check_shipped_fixture_passes(capsys):

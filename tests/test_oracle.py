@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from pathshift import oracle
 from pathshift.estimators import gamma_summands
 from pathshift.nuisance import EstimandId, fit_all
 from pathshift.oracle import (
@@ -209,10 +210,9 @@ def test_robustness_conditions_hold_at_the_population(builder):
 
 def test_cascade_mc_agrees_with_enumeration():
     dgp = toy_k1()
-    for estimand in [EstimandId.dis(), EstimandId.direct(), EstimandId.mediator(1)]:
-        enum = enumerate_gamma(dgp, estimand)
-        mc, se = cascade_mc(dgp, estimand, 200_000, seed=4)
-        assert abs(mc - enum) <= 4 * se
+    estimands = [EstimandId.dis(), EstimandId.direct(), EstimandId.mediator(1)]
+    for estimand, (mc, se) in zip(estimands, cascade_mc(dgp, estimands, 200_000, seed=4), strict=True):
+        assert abs(mc - enumerate_gamma(dgp, estimand)) <= 4 * se
 
 
 def _draw_categorical(prob_rows, rng):
@@ -272,27 +272,6 @@ def assert_sample_matches_reference(dgp, n, seed):
     assert np.array_equal(states.y_idx, y_idx)
 
 
-def parity_estimands(dgp):
-    K = dgp.n_blocks
-    return all_estimands(dgp) + [EstimandId.shift(1, (0,) * K), EstimandId.shift(0, (1,) + (0,) * (K - 1))]
-
-
-@pytest.mark.parametrize("builder", [toy_k1, toy_k2, toy_k4])
-@pytest.mark.parametrize("n_draws", [1, 7, 200_000, 1_000_001])
-def test_cascade_mc_matches_the_row_sampler_bit_for_bit(builder, n_draws):
-    dgp = builder()
-    for estimand in parity_estimands(dgp):
-        mean, se = cascade_mc(dgp, estimand, n_draws, seed=13)
-        ref_mean, ref_se = reference_cascade_mc(dgp, estimand, n_draws, seed=13)
-        assert (mean.hex(), se.hex()) == (ref_mean.hex(), ref_se.hex()), estimand.label
-
-
-@pytest.mark.parametrize("builder", [toy_k1, toy_k2, toy_k4])
-@pytest.mark.parametrize("n", [1, 500, 1_000_000])
-def test_sample_matches_the_row_sampler_index_for_index(builder, n):
-    assert_sample_matches_reference(builder(), n, seed=21)
-
-
 def non_monotone_dgp():
     """A three-category mediator with a -1e-13 entry, which TABLE_TOL accepts,
     in each x state: its running sums go 0.4, 0.4 - 1e-13, 1 at x state 0,
@@ -314,6 +293,46 @@ def non_monotone_dgp():
     )
 
 
+def parity_estimands(dgp):
+    """Every oracle-check estimand, two shifts, then all 2^(K+1) shift arm vectors."""
+    K = dgp.n_blocks
+    out = all_estimands(dgp) + [EstimandId.shift(1, (0,) * K), EstimandId.shift(0, (1,) + (0,) * (K - 1))]
+    return out + [EstimandId.shift(r0, arms) for r0 in (0, 1) for arms in itertools.product((0, 1), repeat=K)]
+
+
+def assert_cascade_mc_matches_the_row_sampler(dgp, n_draws, seed):
+    """One shared ``cascade_mc`` call, each result equal in hex to the row
+    sampler drawing that estimand alone (run once per distinct arm vector)."""
+    estimands = parity_estimands(dgp)
+    reference = {}
+    for estimand, (mean, se) in zip(estimands, cascade_mc(dgp, estimands, n_draws, seed=seed), strict=True):
+        key = (estimand.r0,) + estimand.mediator_arms(dgp.n_blocks)
+        if key not in reference:
+            reference[key] = reference_cascade_mc(dgp, estimand, n_draws, seed=seed)
+        ref_mean, ref_se = reference[key]
+        assert (mean.hex(), se.hex()) == (ref_mean.hex(), ref_se.hex()), (estimand.label, key)
+    assert len(reference) == 2 ** (dgp.n_blocks + 1)
+
+
+@pytest.mark.parametrize("builder", [toy_k1, toy_k2, toy_k4, non_monotone_dgp])
+@pytest.mark.parametrize("n_draws", [1, 7, 200_000, 1_000_001])
+def test_cascade_mc_matches_the_row_sampler_bit_for_bit(builder, n_draws):
+    assert_cascade_mc_matches_the_row_sampler(builder(), n_draws, seed=13)
+
+
+@pytest.mark.parametrize("n_draws", [65_535, 65_536, 65_537, 1_000_000, 1_000_001, 2_500_001])
+def test_cascade_mc_matches_the_row_sampler_at_block_and_chunk_edges(n_draws):
+    # blocks of 2^16 rows inside chunks of 10^6: the last block of a chunk,
+    # and the last chunk, may be short or a single row
+    assert_cascade_mc_matches_the_row_sampler(toy_k2(), n_draws, seed=5)
+
+
+@pytest.mark.parametrize("builder", [toy_k1, toy_k2, toy_k4])
+@pytest.mark.parametrize("n", [1, 500, 1_000_000])
+def test_sample_matches_the_row_sampler_index_for_index(builder, n):
+    assert_sample_matches_reference(builder(), n, seed=21)
+
+
 class FixedUniforms:
     """A generator stand-in whose every ``random(n)`` repeats one pattern."""
 
@@ -326,9 +345,8 @@ class FixedUniforms:
 
 def test_non_monotone_cdf_draws_as_the_row_sampler(monkeypatch):
     dgp = non_monotone_dgp()
-    for estimand in all_estimands(dgp):
-        for n_draws in (7, 200_000):
-            assert cascade_mc(dgp, estimand, n_draws, seed=2) == reference_cascade_mc(dgp, estimand, n_draws, seed=2)
+    for n_draws in (7, 200_000):
+        assert_cascade_mc_matches_the_row_sampler(dgp, n_draws, seed=2)
     assert_sample_matches_reference(dgp, 10_000, seed=2)
 
     # Each level reuses the pattern, so a uniform picks x and then m. Every
@@ -340,8 +358,16 @@ def test_non_monotone_cdf_draws_as_the_row_sampler(monkeypatch):
     _, states = sample(dgp, 6, seed=0)
     assert list(states.x_idx[:2]) == [0, 1] and list(states.m_idx[0][:2]) == [1, 2]
     assert_sample_matches_reference(dgp, 6, seed=0)
-    for estimand in all_estimands(dgp):
-        assert cascade_mc(dgp, estimand, 6) == reference_cascade_mc(dgp, estimand, 6)
+
+    # cascade_mc reads its stream by position, through ``_uniforms``; each
+    # level of its one block gets the pattern, as each of the reference's calls
+    def fixed_uniforms(rng, state, position, out):
+        out[:] = FixedUniforms(pattern).random(out.size)
+
+    monkeypatch.setattr(oracle, "_uniforms", fixed_uniforms)
+    estimands = all_estimands(dgp)
+    for estimand, result in zip(estimands, cascade_mc(dgp, estimands, 6), strict=True):
+        assert result == reference_cascade_mc(dgp, estimand, 6)
 
 
 def reference_cascade(tables, row, rng):
@@ -379,35 +405,6 @@ def test_cascade_draws_as_the_capped_count_on_every_running_sum(builder):
     assert np.array_equal(rows, before)
     theirs = list(reference_cascade(tables, rows, FixedUniforms(u)))
     assert all(np.array_equal(a, b) for a, b in zip(ours, theirs, strict=True))
-
-
-class RecordingGenerator(np.random.Generator):
-    """``default_rng``'s generator, recording the arguments of every ``random`` call."""
-
-    def __init__(self, seed):
-        super().__init__(np.random.PCG64(seed))
-        self.calls = []
-
-    def random(self, *args, **kwargs):
-        self.calls.append((args, kwargs))
-        return super().random(*args, **kwargs)
-
-
-def test_cascade_mc_draws_one_chunk_of_uniforms_per_level(monkeypatch):
-    # the layout that keeps cascade_mc bit-identical to the row sampler: per
-    # chunk, one positional random(m) per level (X, each mediator, Y)
-    dgp, estimand = toy_k2(), EstimandId.mediator(1)
-    expected = cascade_mc(dgp, estimand, 1_000_001, seed=5)
-    generators = []
-
-    def recording_rng(seed):
-        generators.append(RecordingGenerator(seed))
-        return generators[-1]
-
-    monkeypatch.setattr(np.random, "default_rng", recording_rng)
-    assert cascade_mc(dgp, estimand, 1_000_001, seed=5) == expected
-    levels = dgp.n_blocks + 2
-    assert [g.calls for g in generators] == [[((1_000_000,), {})] * levels + [((1,), {})] * levels]
 
 
 def test_density_ratio_equals_g_odds_ratio():
