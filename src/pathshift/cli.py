@@ -3,7 +3,8 @@ the estimators against the enumeration oracle.
 
 A single JSON config file drives each command; flags override config values.
 The seed comes from --seed, else the PATHSHIFT_SEED environment variable,
-else 0, and every command is deterministic given it.
+else 0; it must be an integer >= 0, and every command is deterministic
+given it.
 """
 
 from __future__ import annotations
@@ -57,7 +58,11 @@ def _load_config(path: str | None) -> dict:
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("PATHSHIFT_SEED", "0"))
+    text = os.environ.get("PATHSHIFT_SEED", "0")
+    try:
+        return _at_least(0)(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise DataError(f"PATHSHIFT_SEED must be an integer >= 0, got {text!r}") from None
 
 
 def _learner_from_config(cfg: dict, binary: bool) -> "LearnerSpec | SuperLearnerConfig":
@@ -114,8 +119,8 @@ def cmd_decompose(args) -> int:
     that pair's decompose, and the pool it forks, run without the table. The
     heap runs under :func:`steady_heap`, so that the command's peak memory
     does not depend on what ran before it in the process."""
-    cfg = _load_config(args.config)
     seed = _resolve_seed(args)
+    cfg = _load_config(args.config)
     scale = args.scale or cfg.get("scale", "difference")
     kind = args.decomposition or cfg.get("decomposition", "natural")
     delta = args.delta if args.delta is not None else float(cfg.get("delta", 0.01))
@@ -292,11 +297,16 @@ def cmd_oracle_check(args) -> int:
     return 1 if failed else 0
 
 
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,13 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--config", help="JSON config file with roles and learner settings")
     p_dec.add_argument("--data", help="CSV data file (overrides config)")
     p_dec.add_argument("--out", default=".", help="output directory")
-    p_dec.add_argument("--seed", type=int, default=None)
+    p_dec.add_argument("--seed", type=_at_least(0), default=None)
     p_dec.add_argument("--scale", choices=["difference", "geometric", "probability"], default=None)
     p_dec.add_argument("--decomposition", choices=["natural", "sequential", "both"], default=None)
     p_dec.add_argument("--delta", type=float, default=None)
     p_dec.add_argument("--crossfit-folds", type=int, default=None)
     p_dec.add_argument("--alpha", type=float, default=None)
-    p_dec.add_argument("--threads", type=_at_least_one, default=usable_cores(),
+    p_dec.add_argument("--threads", type=_at_least(1), default=usable_cores(),
                        help="worker processes for the nuisance fits (default: usable cores)")
     p_dec.set_defaults(func=cmd_decompose)
 
@@ -326,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--truth-draws", type=int, default=2_000_000,
                        help="Monte-Carlo draws of each sim1 truth (sim2 truths are exact)")
     p_sim.add_argument("--out", default=".")
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--threads", type=_at_least_one, default=usable_cores())
+    p_sim.add_argument("--seed", type=_at_least(0), default=None)
+    p_sim.add_argument("--threads", type=_at_least(1), default=usable_cores())
     p_sim.set_defaults(func=cmd_simulate)
 
     p_or = sub.add_parser("oracle-check", help="verify estimators against the enumeration oracle")
     p_or.add_argument("--fixture", help="discrete DGP JSON (defaults to the shipped toy)")
-    p_or.add_argument("--mc-draws", type=_at_least_one, default=1_000_000)
-    p_or.add_argument("--seed", type=int, default=None)
+    p_or.add_argument("--mc-draws", type=_at_least(1), default=1_000_000)
+    p_or.add_argument("--seed", type=_at_least(0), default=None)
     p_or.set_defaults(func=cmd_oracle_check)
 
     return parser

@@ -15,12 +15,14 @@ mediator categories, own category); ``p_y`` ends with the outcome category.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import AnalysisFrame
 from .nuisance import EstimandId, NuisanceSet, fit_all
+from .parallel import usable_cores
 
 MAX_STATES = 10**7
 TABLE_TOL = 1e-12
@@ -392,6 +394,7 @@ def population_frame(dgp: DiscreteDgp, scale: int) -> tuple[AnalysisFrame, Sampl
 
 MC_CHUNK = 1_000_000
 MC_BLOCK = 1 << 16
+MC_LANES = 16  # so that a lane's block keeps at least 2^12 rows
 
 
 def _uniforms(rng: np.random.Generator, state: dict, position: int, out: np.ndarray) -> None:
@@ -412,11 +415,16 @@ def cascade_mc(dgp: DiscreteDgp, estimands, n_draws: int, seed: int = 0) -> list
     one uniform per draw for X, then for each mediator, then for Y. So an
     estimand's mean does not depend on which others share the call.
 
-    A chunk is walked in blocks of 2^16 rows. Each level's uniforms for a block
-    are drawn once, from its place in the stream. The distinct arm prefixes
-    are walked depth first, so each prefix's categories are computed once.
-    Each distinct ``(arms, r0)`` keeps its outcome categories for the chunk,
-    and at the chunk's end its Y values are summed whole.
+    A chunk is walked in blocks, on one thread (lane) per usable core, at most
+    16, the calling thread being the first. With L lanes a block has the
+    largest power of two of rows that is at most 2^16 / L, so that at most
+    2^16 rows are in flight. Each lane draws each level's uniforms for its
+    block once, from their place in the stream, with a generator of its own.
+    The distinct arm prefixes are walked depth first, so each prefix's
+    categories are computed once. Each distinct ``(arms, r0)`` keeps its
+    outcome categories for the chunk, and at the chunk's end its Y values are
+    looked up a block at a time and summed whole, in the calling thread; so
+    the result does not depend on the number of lanes.
     """
     if n_draws < 1:
         raise OracleError(f"Monte-Carlo draws must be >= 1, got {n_draws}")
@@ -432,39 +440,56 @@ def cascade_mc(dgp: DiscreteDgp, estimands, n_draws: int, seed: int = 0) -> list
     tables = [med.table for med in dgp.mediators] + [dgp.p_y]
     levels = [[_thresholds(table[:, arm]) for arm in (0, 1)] for table in tables]
     x_levels = _thresholds(dgp.p_x)
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2718, n_draws])))
-    state = rng.bit_generator.state
-    chunk = min(MC_CHUNK, n_draws)
-    u = np.empty((K + 2, min(MC_BLOCK, chunk)))
-    y_cat = {key: np.empty(chunk, np.min_scalar_type(dgp.y_values.size - 1)) for key in keys}
-    y = np.empty(chunk)
-    sums = {key: [0.0, 0.0] for key in y_cat}
     sizes = dgp.sizes
 
-    done = 0
-    while done < n_draws:
-        m = min(chunk, n_draws - done)
-        start = (K + 2) * done
-        for lo in range(0, m, MC_BLOCK):
-            n = min(MC_BLOCK, m - lo)
+    seeds = np.random.SeedSequence([seed, 2718, n_draws])
+    state = np.random.PCG64(seeds).state
+    chunk = min(MC_CHUNK, n_draws)
+    lanes = min(usable_cores(), MC_LANES)
+    block = MC_BLOCK >> (lanes - 1).bit_length()  # the largest power of two <= MC_BLOCK / lanes
+    lanes = min(lanes, -(-chunk // block))
+    rngs = [np.random.Generator(np.random.PCG64(seeds)) for _ in range(lanes)]
+    u = [np.empty((K + 2, min(block, chunk))) for _ in range(lanes)]
+    y_cat = {key: np.empty(chunk, np.min_scalar_type(dgp.y_values.size - 1)) for key in keys}
+
+    def walk(lane: int, m: int, start: int) -> None:
+        """Categories of the lane's blocks (every ``lanes``-th from its own) of
+        a chunk of ``m`` draws whose stream starts at draw ``start``."""
+        rng, buf = rngs[lane], u[lane]
+        for lo in range(lane * block, m, lanes * block):
+            n = min(block, m - lo)
             for level in range(K + 2):
-                _uniforms(rng, state, start + level * m + lo, u[level, :n])
-            stack = [((), _categories(x_levels, 0, u[0, :n]))]  # depth first, one row array per prefix
+                _uniforms(rng, state, start + level * m + lo, buf[level, :n])
+            stack = [((), _categories(x_levels, 0, buf[0, :n]))]  # depth first, one row array per prefix
             while stack:
                 prefix, row = stack.pop()
                 depth = len(prefix)
                 for arm in children[prefix]:
-                    idx = _categories(levels[depth][arm], row, u[depth + 1, :n])
+                    idx = _categories(levels[depth][arm], row, buf[depth + 1, :n])
                     if depth == K:
                         y_cat[prefix + (arm,)][lo : lo + n] = idx
                     else:
                         stack.append((prefix + (arm,), row * sizes[depth] + idx))
-        for key, cats in y_cat.items():
-            y_m = np.take(dgp.y_values, cats[:m], out=y[:m], mode="clip")
-            sums[key][0] += float(y_m.sum())
-            sums[key][1] += float(np.square(y_m, out=y_m).sum())
-        done += m
+
+    y = np.empty(chunk)
+    sums = {key: [0.0, 0.0] for key in y_cat}
+    done = 0
+    with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:  # starts no thread for one lane
+        while done < n_draws:
+            m = min(chunk, n_draws - done)
+            start = (K + 2) * done
+            others = [pool.submit(walk, lane, m, start) for lane in range(1, lanes)]
+            walk(0, m, start)  # lane 0 is the calling thread
+            for lane in others:
+                lane.result()
+            for key, cats in y_cat.items():
+                for lo in range(0, m, MC_BLOCK):  # take casts its indices to intp: a block at a time
+                    hi = min(lo + MC_BLOCK, m)
+                    np.take(dgp.y_values, cats[lo:hi], out=y[lo:hi], mode="clip")
+                y_m = y[:m]
+                sums[key][0] += float(y_m.sum())
+                sums[key][1] += float(np.square(y_m, out=y_m).sum())
+            done += m
     out = []
     for key in keys:
         total, total_sq = sums[key]

@@ -1,11 +1,25 @@
-"""Fixtures shared by the command-line and tracer tests."""
+"""Fixtures shared by the test modules: a CSV for the command-line and
+tracer tests, and a stand-in for the usable core count."""
 
 import json
 
 import numpy as np
 import pytest
 
+from pathshift import cli, nuisance, oracle, simulation
 from pathshift.simulation import DgpSpec, generate
+
+
+@pytest.fixture
+def usable_cores(monkeypatch):
+    """Call it with a count to make every pathshift module that sizes a pool
+    or its lanes by ``usable_cores`` see that many cores, whatever the host."""
+
+    def set_cores(count: int) -> None:
+        for module in (cli, nuisance, oracle, simulation):
+            monkeypatch.setattr(module, "usable_cores", lambda: count)
+
+    return set_cores
 
 
 @pytest.fixture

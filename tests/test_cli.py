@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from pathshift import cli, nuisance
+from pathshift import cli
 from pathshift.cli import _learner_from_config, _parse_estimands, main
 from pathshift.data import DataError
 from pathshift.learners import LearnerSpec, SuperLearnerConfig, default_binary_sl, default_continuous_sl
@@ -71,9 +71,9 @@ def test_decompose_seed_reproducible_bytes(meps_like_csv, tmp_path):
 
 
 @pytest.mark.parametrize("folds", ["1", "2"])
-def test_decompose_crossfit_bytes_match_across_thread_counts(meps_like_csv, tmp_path, monkeypatch, folds):
+def test_decompose_crossfit_bytes_match_across_thread_counts(meps_like_csv, tmp_path, usable_cores, folds):
     # one fold keeps each level's single prediction vector as it is; two merge them
-    monkeypatch.setattr(nuisance, "usable_cores", lambda: 2)  # the tree pool runs on any host
+    usable_cores(2)  # the tree pool runs on any host
     _, cfg = meps_like_csv
     threads = {"pool_a": "2", "pool_b": "2", "serial": "1"}
     for name, count in threads.items():
@@ -203,6 +203,39 @@ def test_oracle_check_rejects_zero_mc_draws(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --mc-draws: must be >= 1, got 0" in captured.err
+
+
+def seed_argv(command, out, cfg):
+    """A run of ``command`` that would do real work, before its seed is given."""
+    return {
+        "decompose": ["decompose", "--config", cfg, "--out", str(out), "--threads", "1"],
+        "simulate": ["simulate", "--dgp", "sim2", "--estimands", "mediator1", "--n", "50", "--reps", "2",
+                     "--threads", "1", "--out", str(out)],
+        "oracle-check": ["oracle-check", "--mc-draws", "1000"],
+    }[command]
+
+
+@pytest.mark.parametrize("command, seed", [("simulate", "-3"), ("decompose", "-2"), ("oracle-check", "-1")])
+def test_negative_seed_flag_is_rejected_before_any_work(meps_like_csv, tmp_path, capsys, monkeypatch, command, seed):
+    monkeypatch.setattr(cli, "load_csv", lambda *args, **kwargs: pytest.fail("the data was loaded"))
+    with pytest.raises(SystemExit) as info:
+        main(seed_argv(command, tmp_path / "out", meps_like_csv[1]) + ["--seed", seed])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --seed: must be >= 0, got {seed}" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, value", [("oracle-check", "-4"), ("decompose", "abc"), ("simulate", "2.5")])
+def test_bad_env_seed_is_named_before_any_work(meps_like_csv, tmp_path, capsys, monkeypatch, command, value):
+    monkeypatch.setattr(cli, "load_csv", lambda *args, **kwargs: pytest.fail("the data was loaded"))
+    monkeypatch.setenv("PATHSHIFT_SEED", value)
+    assert main(seed_argv(command, tmp_path / "out", meps_like_csv[1])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"PATHSHIFT_SEED must be an integer >= 0, got {value!r}" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_oracle_check_shipped_fixture_passes(capsys):

@@ -35,10 +35,10 @@ SMALL_SL = NuisanceLearners(
 
 
 @pytest.fixture
-def two_usable_cores(monkeypatch):
+def two_usable_cores(usable_cores):
     """The fold pool never has more workers than usable cores; report two, so
     that the pool runs on any host."""
-    monkeypatch.setattr(nuisance, "usable_cores", lambda: 2)
+    usable_cores(2)
 
 
 def test_contrast_of_identical_estimates_is_null():

@@ -188,6 +188,76 @@ def test_logistic_separation_refits_only_under_a_smaller_penalty(monkeypatch, la
     assert np.array_equal(model.predict(x), expit(d @ beta))
 
 
+def previous_irls(d, y, lam):
+    """``learners._irls`` as it was before it rebuilt its buffers in place,
+    kept verbatim as the reference for its bytes."""
+    p = d.shape[1]
+    pen = np.eye(p) * lam
+    pen[0, 0] = 0.0
+    beta = np.zeros(p)
+    eta = d @ beta
+    dev = np.inf
+    for it in range(1, learners.LOGISTIC_MAX_ITER + 1):
+        mu = expit(eta)
+        w = np.clip(mu * (1 - mu), 1e-12, None)
+        z = eta + (y - mu) / w
+        dw = d * w[:, None]
+        a = dw.T @ d + pen
+        b = dw.T @ z
+        del dw
+        try:
+            beta_new = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            return beta, it, False
+        beta = beta_new
+        eta = d @ beta
+        mu = np.clip(expit(eta), 1e-12, 1 - 1e-12)
+        new_dev = -2.0 * float(np.sum(y * np.log(mu) + (1 - y) * np.log(1 - mu)))
+        new_dev += lam * float(beta[1:] @ beta[1:])
+        if abs(dev - new_dev) < learners.LOGISTIC_TOL:
+            return beta, it, True
+        dev = new_dev
+        if np.max(np.abs(eta)) > 30:
+            return beta, it, False
+    return beta, learners.LOGISTIC_MAX_ITER, False
+
+
+def irls_case(path, n):
+    """A design and 0/1 response that take ``_irls`` down one exit path."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 3))
+    if path == "separated":
+        y = (x[:, 0] > 0).astype(float)
+    else:
+        y = (rng.random(n) < expit(0.3 + x @ np.array([1.0, -0.5, 0.25]))).astype(float)
+    if path == "singular":
+        x[:, 1] = 0.0  # an all-zero column leaves the unpenalized system singular
+    return np.hstack([np.ones((n, 1)), x]), y
+
+
+@pytest.mark.parametrize("n", [3_200, 245_000])
+@pytest.mark.parametrize("path, lam, converged", [
+    ("converged", 0.0, True), ("separated", 0.0, False), ("ridge", 1e-2, True), ("singular", 0.0, False),
+])
+def test_irls_keeps_the_previous_loops_bytes(path, lam, converged, n):
+    d, y = irls_case(path, n)
+    beta, eta, iters, ok = learners._irls(d, y, lam)
+    ref_beta, ref_iters, ref_ok = previous_irls(d, y, lam)
+    assert [v.hex() for v in beta] == [v.hex() for v in ref_beta]
+    assert (iters, ok) == (ref_iters, ref_ok) and ok == converged
+    assert np.array_equal(eta, d @ ref_beta)
+    if path == "singular":
+        assert iters == 1 and not beta.any()
+
+
+@pytest.mark.parametrize("case", ["smooth", "separated"])
+def test_logistic_loss_is_that_of_its_coefficients(case):
+    x, y = logistic_case(case)
+    meta = fit_logistic(x, y).training_meta
+    mu = np.clip(expit(np.hstack([np.ones((x.shape[0], 1)), x]) @ meta["coefficients"]), 1e-12, 1 - 1e-12)
+    assert meta["loss"].hex() == (-float(np.mean(y * np.log(mu) + (1 - y) * np.log(1 - mu)))).hex()
+
+
 # -- probability range over random inputs -------------------------------------
 
 @pytest.mark.parametrize("kind", ["mean", "logistic", "ridge", "boosted_stumps", "knn"])

@@ -304,8 +304,8 @@ SMALL_SL = NuisanceLearners(
 POOL_ESTIMANDS = (EstimandId.adv(), EstimandId.mediator(1), EstimandId.sequential(2), EstimandId.direct())
 
 
-def test_prefit_fills_the_cache_from_fold_workers(monkeypatch):
-    monkeypatch.setattr(nuisance, "usable_cores", lambda: 2)
+def test_prefit_fills_the_cache_from_fold_workers(monkeypatch, usable_cores):
+    usable_cores(2)
     frame = generate(DgpSpec("sim2_misspec"), 600, seed=22)
     for learners, folds in ((None, 3), (None, None), (SMALL_SL, None)):
         serial = NuisanceCache(frame, learners, folds=folds, seed=5)
@@ -326,14 +326,14 @@ def test_prefit_fills_the_cache_from_fold_workers(monkeypatch):
         assert pooled.diagnostics() == serial.diagnostics()
 
 
-def test_prefit_starts_no_pool_for_one_job_one_core_or_one_task(monkeypatch):
+def test_prefit_starts_no_pool_for_one_job_one_core_or_one_task(monkeypatch, usable_cores):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(nuisance, "ProcessPoolExecutor", no_pool)
     frame = small_frame(200, seed=24)
     for folds, jobs, cores in ((3, 1, 2), (3, 2, 1), (None, 2, 2)):
-        monkeypatch.setattr(nuisance, "usable_cores", lambda cores=cores: cores)
+        usable_cores(cores)
         cache = NuisanceCache(frame, folds=folds, seed=0)
         if folds is None:
             cache.pi()  # leaves one task: the outcome level, in one fold

@@ -1,4 +1,7 @@
+import functools
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from pathshift import oracle
 from pathshift.estimators import gamma_summands
 from pathshift.nuisance import EstimandId, fit_all
 from pathshift.oracle import (
+    MC_CHUNK,
     DiscreteDgp,
     ExactNuisances,
     MediatorTable,
@@ -300,31 +304,88 @@ def parity_estimands(dgp):
     return out + [EstimandId.shift(r0, arms) for r0 in (0, 1) for arms in itertools.product((0, 1), repeat=K)]
 
 
-def assert_cascade_mc_matches_the_row_sampler(dgp, n_draws, seed):
+@functools.cache
+def row_sampler(builder, key, n_draws, seed):
+    """``reference_cascade_mc`` for the arm vector ``key`` = (r0, arms), run
+    once per test session."""
+    return reference_cascade_mc(builder(), EstimandId.shift(key[0], key[1:]), n_draws, seed=seed)
+
+
+def mc_key(estimand, dgp):
+    return (estimand.r0,) + estimand.mediator_arms(dgp.n_blocks)
+
+
+def hexes(results):
+    return [(mean.hex(), se.hex()) for mean, se in results]
+
+
+def assert_cascade_mc_matches_the_row_sampler(builder, n_draws, seed):
     """One shared ``cascade_mc`` call, each result equal in hex to the row
     sampler drawing that estimand alone (run once per distinct arm vector)."""
+    dgp = builder()
     estimands = parity_estimands(dgp)
-    reference = {}
-    for estimand, (mean, se) in zip(estimands, cascade_mc(dgp, estimands, n_draws, seed=seed), strict=True):
-        key = (estimand.r0,) + estimand.mediator_arms(dgp.n_blocks)
-        if key not in reference:
-            reference[key] = reference_cascade_mc(dgp, estimand, n_draws, seed=seed)
-        ref_mean, ref_se = reference[key]
-        assert (mean.hex(), se.hex()) == (ref_mean.hex(), ref_se.hex()), (estimand.label, key)
-    assert len(reference) == 2 ** (dgp.n_blocks + 1)
+    results = hexes(cascade_mc(dgp, estimands, n_draws, seed=seed))
+    for estimand, result in zip(estimands, results, strict=True):
+        key = mc_key(estimand, dgp)
+        assert result == hexes([row_sampler(builder, key, n_draws, seed)])[0], (estimand.label, key)
+    assert len({mc_key(e, dgp) for e in estimands}) == 2 ** (dgp.n_blocks + 1)
 
 
 @pytest.mark.parametrize("builder", [toy_k1, toy_k2, toy_k4, non_monotone_dgp])
 @pytest.mark.parametrize("n_draws", [1, 7, 200_000, 1_000_001])
 def test_cascade_mc_matches_the_row_sampler_bit_for_bit(builder, n_draws):
-    assert_cascade_mc_matches_the_row_sampler(builder(), n_draws, seed=13)
+    assert_cascade_mc_matches_the_row_sampler(builder, n_draws, seed=13)
 
 
 @pytest.mark.parametrize("n_draws", [65_535, 65_536, 65_537, 1_000_000, 1_000_001, 2_500_001])
 def test_cascade_mc_matches_the_row_sampler_at_block_and_chunk_edges(n_draws):
     # blocks of 2^16 rows inside chunks of 10^6: the last block of a chunk,
     # and the last chunk, may be short or a single row
-    assert_cascade_mc_matches_the_row_sampler(toy_k2(), n_draws, seed=5)
+    assert_cascade_mc_matches_the_row_sampler(toy_k2, n_draws, seed=5)
+
+
+@pytest.mark.parametrize("builder", [toy_k1, toy_k2, toy_k4, non_monotone_dgp])
+@pytest.mark.parametrize("n_draws", [2**15 - 1, 2**15 + 1, 2**16 + 1, 1_000_001, 2_500_001])
+def test_cascade_mc_lanes_match_the_row_sampler(builder, n_draws, usable_cores):
+    # 2 lanes walk blocks of 2^15 rows and 3 lanes blocks of 2^14; the last
+    # lane block of a chunk may be short, and some lanes may have no block
+    dgp = builder()
+    estimands = all_estimands(dgp)
+    results = []
+    for cores in (1, 2, 3):
+        usable_cores(cores)
+        results.append(hexes(cascade_mc(dgp, estimands, n_draws, seed=13)))
+    assert results[1] == results[0] and results[2] == results[0]
+    # the row sampler takes about a second per arm vector at 2.5e6 draws, so
+    # there it checks the first estimand only
+    checked = estimands[:1] if n_draws > MC_CHUNK else estimands
+    for estimand, result in zip(checked, results[0]):
+        assert result == hexes([row_sampler(builder, mc_key(estimand, dgp), n_draws, 13)])[0], estimand.label
+
+
+def test_cascade_mc_sixteen_lanes_under_a_short_switch_interval(usable_cores, monkeypatch):
+    # more lanes than cores, capped at 16 blocks of 2^12 rows, switching
+    # threads as often as the interpreter allows: the disjoint writes of the
+    # lanes must still add up to the one-lane bytes
+    dgp, estimands = toy_k4(), all_estimands(toy_k4())
+    usable_cores(1)
+    one_lane = hexes(cascade_mc(dgp, estimands, 2**16 + 1, seed=3))
+    usable_cores(64)
+    threads, uniforms = set(), oracle._uniforms
+
+    def recording_uniforms(rng, state, position, out):
+        threads.add(threading.get_ident())
+        uniforms(rng, state, position, out)
+
+    monkeypatch.setattr(oracle, "_uniforms", recording_uniforms)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        lanes = hexes(cascade_mc(dgp, estimands, 2**16 + 1, seed=3))
+    finally:
+        sys.setswitchinterval(interval)
+    assert lanes == one_lane
+    assert len(threads) > 1
 
 
 @pytest.mark.parametrize("builder", [toy_k1, toy_k2, toy_k4])
@@ -343,10 +404,10 @@ class FixedUniforms:
         return np.resize(self.pattern, n)
 
 
-def test_non_monotone_cdf_draws_as_the_row_sampler(monkeypatch):
+def test_non_monotone_cdf_draws_as_the_row_sampler(monkeypatch, usable_cores):
     dgp = non_monotone_dgp()
     for n_draws in (7, 200_000):
-        assert_cascade_mc_matches_the_row_sampler(dgp, n_draws, seed=2)
+        assert_cascade_mc_matches_the_row_sampler(non_monotone_dgp, n_draws, seed=2)
     assert_sample_matches_reference(dgp, 10_000, seed=2)
 
     # Each level reuses the pattern, so a uniform picks x and then m. Every
@@ -360,14 +421,19 @@ def test_non_monotone_cdf_draws_as_the_row_sampler(monkeypatch):
     assert_sample_matches_reference(dgp, 6, seed=0)
 
     # cascade_mc reads its stream by position, through ``_uniforms``; each
-    # level of its one block gets the pattern, as each of the reference's calls
+    # level of each of its blocks gets the pattern from the block's offset in
+    # its level, as each of the reference's calls does from its first draw.
+    # With 2^15 + 1 draws and 2 lanes, the second lane's block starts mid-pattern.
     def fixed_uniforms(rng, state, position, out):
-        out[:] = FixedUniforms(pattern).random(out.size)
+        offset = position % n_draws  # one chunk: level * n_draws + the block's first row
+        out[:] = FixedUniforms(pattern).random(offset + out.size)[offset:]
 
     monkeypatch.setattr(oracle, "_uniforms", fixed_uniforms)
     estimands = all_estimands(dgp)
-    for estimand, result in zip(estimands, cascade_mc(dgp, estimands, 6), strict=True):
-        assert result == reference_cascade_mc(dgp, estimand, 6)
+    for n_draws, cores in ((6, 1), (2**15 + 1, 1), (2**15 + 1, 2)):
+        usable_cores(cores)
+        for estimand, result in zip(estimands, cascade_mc(dgp, estimands, n_draws), strict=True):
+            assert result == reference_cascade_mc(dgp, estimand, n_draws), (n_draws, cores)
 
 
 def reference_cascade(tables, row, rng):
