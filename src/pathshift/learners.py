@@ -177,17 +177,16 @@ def fit_linear(
     return FittedModel(predict, "continuous", meta)
 
 
-def _irls(d: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """IRLS for penalized logistic log-likelihood; returns (beta, d @ beta,
-    iters, converged). The weights, working response and weighted design
-    are rebuilt in place each iteration."""
+def _irls(d: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, int, bool]:
+    """IRLS for penalized logistic log-likelihood; returns (beta, iters, converged).
+    The weights and working response are rebuilt in place."""
     n, p = d.shape
     pen = np.eye(p) * lam
     pen[0, 0] = 0.0
     beta = np.zeros(p)
     eta = d @ beta
     expit_eta = expit(eta)
-    w, z, dw = np.empty(n), np.empty(n), np.empty((n, p))
+    w, z = np.empty(n), np.empty(n)
     dev = np.inf
     for it in range(1, LOGISTIC_MAX_ITER + 1):
         np.subtract(1, expit_eta, out=w)
@@ -196,13 +195,14 @@ def _irls(d: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndar
         np.subtract(y, expit_eta, out=z)
         z /= w
         z += eta
-        np.multiply(d, w[:, None], out=dw)
+        dw = d * w[:, None]
         a = dw.T @ d + pen
         b = dw.T @ z
+        del dw  # freed before the deviance and the next iteration's own n x p copy
         try:
             beta_new = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:
-            return beta, eta, it, False
+            return beta, it, False
         beta = beta_new
         eta = d @ beta
         expit_eta = expit(eta)
@@ -210,12 +210,12 @@ def _irls(d: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndar
         new_dev = -2.0 * float(np.sum(y * np.log(mu) + (1 - y) * np.log(1 - mu)))
         new_dev += lam * float(beta[1:] @ beta[1:])
         if abs(dev - new_dev) < LOGISTIC_TOL:
-            return beta, eta, it, True
+            return beta, it, True
         dev = new_dev
         if np.max(np.abs(eta)) > 30:
             # fitted probabilities are numerically 0/1: separation territory
-            return beta, eta, it, False
-    return beta, eta, LOGISTIC_MAX_ITER, False
+            return beta, it, False
+    return beta, LOGISTIC_MAX_ITER, False
 
 
 def fit_logistic(
@@ -238,12 +238,13 @@ def fit_logistic(
     if uniq.size < 2:
         raise LearnerError("logistic response is single-class")
     d = _design(expand_features(x, feature_policy))
-    beta, eta, iters, converged = _irls(d, y, ridge_lambda)
+    beta, iters, converged = _irls(d, y, ridge_lambda)
     meta = {"iterations": iters, "separation_penalized": not converged}
     if not converged and ridge_lambda < SEPARATION_RIDGE:
-        beta, eta, iters2, _ = _irls(d, y, SEPARATION_RIDGE)
+        beta, iters2, _ = _irls(d, y, SEPARATION_RIDGE)
         meta["iterations"] += iters2
-    mu_c = np.clip(expit(eta), 1e-12, 1 - 1e-12)
+    mu = expit(d @ beta)
+    mu_c = np.clip(mu, 1e-12, 1 - 1e-12)
     meta["loss"] = -float(np.mean(y * np.log(mu_c) + (1 - y) * np.log(1 - mu_c)))
     meta["coefficients"] = beta
 

@@ -394,7 +394,7 @@ def population_frame(dgp: DiscreteDgp, scale: int) -> tuple[AnalysisFrame, Sampl
 
 MC_CHUNK = 1_000_000
 MC_BLOCK = 1 << 16
-MC_LANES = 16  # so that a lane's block keeps at least 2^12 rows
+MC_LANES = 2  # only two lanes have been timed; more would walk more, smaller blocks
 
 
 def _uniforms(rng: np.random.Generator, state: dict, position: int, out: np.ndarray) -> None:
@@ -416,15 +416,15 @@ def cascade_mc(dgp: DiscreteDgp, estimands, n_draws: int, seed: int = 0) -> list
     estimand's mean does not depend on which others share the call.
 
     A chunk is walked in blocks, on one thread (lane) per usable core, at most
-    16, the calling thread being the first. With L lanes a block has the
-    largest power of two of rows that is at most 2^16 / L, so that at most
-    2^16 rows are in flight. Each lane draws each level's uniforms for its
-    block once, from their place in the stream, with a generator of its own.
-    The distinct arm prefixes are walked depth first, so each prefix's
-    categories are computed once. Each distinct ``(arms, r0)`` keeps its
-    outcome categories for the chunk, and at the chunk's end its Y values are
-    looked up a block at a time and summed whole, in the calling thread; so
-    the result does not depend on the number of lanes.
+    two, the calling thread being the first. A block has 2^16 rows with one
+    lane and 2^15 with two, so that at most 2^16 rows are in flight. Each
+    lane draws each level's uniforms for its block once, from their place in
+    the stream, with a generator of its own. The distinct arm prefixes are
+    walked depth first, so each prefix's categories are computed once. Each
+    distinct ``(arms, r0)`` keeps its outcome categories for the chunk, and
+    at the chunk's end its Y values are looked up a block at a time and
+    summed whole, in the calling thread; so the result does not depend on
+    the number of lanes.
     """
     if n_draws < 1:
         raise OracleError(f"Monte-Carlo draws must be >= 1, got {n_draws}")
@@ -446,7 +446,7 @@ def cascade_mc(dgp: DiscreteDgp, estimands, n_draws: int, seed: int = 0) -> list
     state = np.random.PCG64(seeds).state
     chunk = min(MC_CHUNK, n_draws)
     lanes = min(usable_cores(), MC_LANES)
-    block = MC_BLOCK >> (lanes - 1).bit_length()  # the largest power of two <= MC_BLOCK / lanes
+    block = MC_BLOCK // lanes
     lanes = min(lanes, -(-chunk // block))
     rngs = [np.random.Generator(np.random.PCG64(seeds)) for _ in range(lanes)]
     u = [np.empty((K + 2, min(block, chunk))) for _ in range(lanes)]

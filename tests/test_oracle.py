@@ -347,8 +347,9 @@ def test_cascade_mc_matches_the_row_sampler_at_block_and_chunk_edges(n_draws):
 @pytest.mark.parametrize("builder", [toy_k1, toy_k2, toy_k4, non_monotone_dgp])
 @pytest.mark.parametrize("n_draws", [2**15 - 1, 2**15 + 1, 2**16 + 1, 1_000_001, 2_500_001])
 def test_cascade_mc_lanes_match_the_row_sampler(builder, n_draws, usable_cores):
-    # 2 lanes walk blocks of 2^15 rows and 3 lanes blocks of 2^14; the last
-    # lane block of a chunk may be short, and some lanes may have no block
+    # 2 lanes walk blocks of 2^15 rows, and 3 usable cores still give 2
+    # lanes; the last lane block of a chunk may be short, and the second lane
+    # may have no block
     dgp = builder()
     estimands = all_estimands(dgp)
     results = []
@@ -363,10 +364,10 @@ def test_cascade_mc_lanes_match_the_row_sampler(builder, n_draws, usable_cores):
         assert result == hexes([row_sampler(builder, mc_key(estimand, dgp), n_draws, 13)])[0], estimand.label
 
 
-def test_cascade_mc_sixteen_lanes_under_a_short_switch_interval(usable_cores, monkeypatch):
-    # more lanes than cores, capped at 16 blocks of 2^12 rows, switching
-    # threads as often as the interpreter allows: the disjoint writes of the
-    # lanes must still add up to the one-lane bytes
+def test_cascade_mc_lanes_under_a_short_switch_interval(usable_cores, monkeypatch):
+    # more cores than the cap of 2 lanes, switching threads as often as the
+    # interpreter allows: the disjoint writes of the lanes must still add up
+    # to the one-lane bytes
     dgp, estimands = toy_k4(), all_estimands(toy_k4())
     usable_cores(1)
     one_lane = hexes(cascade_mc(dgp, estimands, 2**16 + 1, seed=3))
