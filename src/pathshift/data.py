@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -222,11 +222,6 @@ class AnalysisFrame:
         if k == 0:
             return np.empty((self.n, 0))
         return np.hstack([self.m_blocks[j] for j in range(k)])
-
-    def with_covariates(self, x_new: np.ndarray, names: tuple[str, ...] | None = None) -> "AnalysisFrame":
-        if x_new.shape[0] != self.n:
-            raise DataError("replacement covariate matrix has wrong length")
-        return replace(self, x=x_new, covariate_names=names or self.covariate_names)
 
 
 def apply_outcome_scale(y_raw: np.ndarray, scale: str) -> np.ndarray:

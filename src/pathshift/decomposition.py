@@ -80,27 +80,8 @@ class DecompositionReport:
             "diagnostics": self.diagnostics,
         }
 
-    @staticmethod
-    def from_dict(payload: dict) -> "DecompositionReport":
-        comps = tuple(
-            DisparityComponent(
-                label=c["label"],
-                point=c["point"],
-                se=c["se"],
-                ci=(c["ci"][0], c["ci"][1]),
-                p_value=c["p_value"],
-                scale=c["scale"],
-            )
-            for c in payload["components"]
-        )
-        return DecompositionReport(comps, payload["estimand_meta"], payload["diagnostics"])
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "DecompositionReport":
-        return DecompositionReport.from_dict(json.loads(text))
 
     def to_csv(self) -> str:
         buf = io.StringIO()

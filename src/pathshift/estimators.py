@@ -67,7 +67,7 @@ class GammaEstimate:
 
 def wald(point: float, se: float, alpha: float) -> tuple[tuple[float, float], float]:
     """Two-sided Wald CI at level 1 - alpha and the normal p-value of point / se."""
-    z = ndtri(1 - alpha / 2)
+    z = float(ndtri(1 - alpha / 2))
     ci = (point - z * se, point + z * se)
     if se > 0:
         return ci, float(2.0 * ndtr(-abs(point) / se))

@@ -614,11 +614,6 @@ class SimReport:
     def to_json(self) -> str:
         return json.dumps({"meta": self.meta, "cells": [c.to_dict() for c in self.cells]}, indent=2, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "SimReport":
-        payload = json.loads(text)
-        return SimReport(tuple(CellResult(**c) for c in payload["cells"]), payload["meta"])
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         fields = list(CellResult.__dataclass_fields__)
@@ -646,48 +641,52 @@ class SimReport:
 
 
 def _run_one_rep(args):
-    """One replicate: generate data once and estimate every requested target
-    from a shared nuisance cache (propensity and g fits are common).
+    """One replicate: generate its frame once and evaluate each (method,
+    target) cell of its n on it, one ``("ok", (point, lo, hi, hbar))`` or
+    ``("error", reason)`` per cell.
 
-    Targets may be counterfactual means (EstimandId) or disparity contrasts
-    (RhoSpec); the latter get EIF-difference confidence intervals from
-    :func:`contrast`. Each counterfactual mean is estimated once per replicate,
-    however many contrasts share it.
+    Equal methods share one nuisance cache, and each counterfactual mean is
+    estimated once per method, however many contrasts share it. Targets may
+    be means (EstimandId) or disparity contrasts (RhoSpec); the latter get
+    EIF-difference confidence intervals from :func:`contrast`. A failure
+    fails only the cells that meet it.
     """
-    spec, targets, n, method, seed, centering, alpha = args
+    spec, cells, n, seed, centering, alpha = args
     try:
         frame = generate(spec, n, seed=seed)
-        x_alt = None
-        if any(v == "false" for _, v in method.route):
-            x_alt = misspecified_matrix(frame)
-        cache = NuisanceCache(
-            frame, method.learners, method.delta, method.folds, seed, x_alt=x_alt, route=dict(method.route)
-        )
         exact = Sim2Exact(spec) if centering else None
-        memo: dict[EstimandId, tuple] = {}
+    except Exception as err:  # noqa: BLE001 - a failed replicate must not kill the grid
+        return [("error", repr(err))] * len(cells)
+    caches: dict[MethodSpec, NuisanceCache] = {}
+    memo: dict[tuple[MethodSpec, EstimandId], tuple] = {}
 
-        def gamma_est(estimand):
-            if estimand not in memo:
-                est = estimate(frame, fit_all(frame, estimand, cache=cache))
-                hbar = None
-                if exact is not None:
-                    q_true = exact.nuisance_set(frame, estimand)
-                    hbar = float(np.mean(gamma_summands(frame.y, frame.r, q_true)))
-                memo[estimand] = (est, hbar)
-            return memo[estimand]
+    def gamma_est(method, estimand):
+        if method not in caches:
+            x_alt = misspecified_matrix(frame) if any(v == "false" for _, v in method.route) else None
+            caches[method] = NuisanceCache(
+                frame, method.learners, method.delta, method.folds, seed, x_alt=x_alt, route=dict(method.route)
+            )
+        if (method, estimand) not in memo:
+            est = estimate(frame, fit_all(frame, estimand, cache=caches[method]))
+            hbar = None
+            if exact is not None:
+                hbar = float(np.mean(gamma_summands(frame.y, frame.r, exact.nuisance_set(frame, estimand))))
+            memo[method, estimand] = (est, hbar)
+        return memo[method, estimand]
 
-        out = {}
-        for target in targets:
-            ests, hbars = zip(*map(gamma_est, _means(target)))
+    out = []
+    for method, target in cells:
+        try:
+            ests, hbars = zip(*(gamma_est(method, mean) for mean in _means(target)))
             if len(ests) == 1:
                 point, (lo, hi) = ests[0].point, ests[0].ci(alpha)
             else:
                 c = contrast(*ests, target.label, alpha)
                 point, (lo, hi) = c.point, c.ci
-            out[target.label] = (point, lo, hi, None if exact is None else _difference(hbars))
-        return ("ok", out)
-    except Exception as err:  # noqa: BLE001 - a failed replicate must not kill the grid
-        return ("error", repr(err))
+            out.append(("ok", (point, lo, hi, None if exact is None else _difference(hbars))))
+        except Exception as err:  # noqa: BLE001 - a failed cell must not kill the replicate
+            out.append(("error", repr(err)))
+    return out
 
 
 def run_grid(
@@ -740,39 +739,32 @@ def run_grid(
     if exact is not None:
         gamma_exact = {e.label: _difference([exact.gamma(m) for m in _means(e)]) for e in estimands}
 
-    # with a shared method list, all estimands run on the same replicate data;
-    # a per-estimand method mapping (robustness grid) runs cells separately
+    # the report's cells: estimand-major for a per-estimand mapping, else by
+    # n, then method, then estimand; one task per (n, rep) fills every cell of its n
     if isinstance(methods, dict):
-        cell_specs = [
-            ((estimand,), n, method)
-            for estimand in estimands
-            for n in n_list
-            for method in methods[estimand.label]
-        ]
+        cells = [(e, n, m) for e in estimands for n in n_list for m in methods[e.label]]
     else:
-        cell_specs = [(tuple(estimands), n, method) for n in n_list for method in methods]
-
-    cells: list[CellResult] = []
-    executor = ProcessPoolExecutor(max_workers=n_jobs, initializer=_one_blas_thread) if n_jobs > 1 else None
-    try:
-        for cell_estimands, n, method in cell_specs:
-            tasks = [
-                (spec, cell_estimands, n, method, base_seed + rep, oracle_centering, alpha)
-                for rep in range(reps)
-            ]
-            if executor is not None:
-                results = list(executor.map(_run_one_rep, tasks, chunksize=max(1, reps // (4 * n_jobs))))
-            else:
-                results = [_run_one_rep(t) for t in tasks]
-            for estimand in cell_estimands:
-                cells.append(
-                    _aggregate_cell(
-                        estimand, n, method, results, truths[estimand.label], gamma_exact.get(estimand.label)
-                    )
-                )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+        cells = [(e, n, m) for n in n_list for m in methods for e in estimands]
+    at = {n: [i for i, cell in enumerate(cells) if cell[1] == n] for n in n_list}
+    tasks = [
+        (spec, tuple((cells[i][2], cells[i][0]) for i in at[n]), n, base_seed + rep, oracle_centering, alpha)
+        for n in at
+        for rep in range(reps)
+    ]
+    workers = min(n_jobs, len(tasks), usable_cores())
+    if workers > 1:
+        with ProcessPoolExecutor(workers, initializer=_one_blas_thread) as pool:
+            results = list(pool.map(_run_one_rep, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+    else:
+        results = [_run_one_rep(t) for t in tasks]
+    outcomes = [[] for _ in cells]
+    for (_, _, n, *_), result in zip(tasks, results):
+        for i, outcome in zip(at[n], result):
+            outcomes[i].append(outcome)
+    report = tuple(
+        _aggregate_cell(e, n, m, outcomes[i], truths[e.label], gamma_exact.get(e.label))
+        for i, (e, n, m) in enumerate(cells)
+    )
 
     meta = {
         "dgp": spec.kind,
@@ -784,12 +776,12 @@ def run_grid(
         "truths": {k: [v.value, v.se] for k, v in truths.items()},
         "oracle_centering": oracle_centering,
     }
-    return SimReport(tuple(cells), meta)
+    return SimReport(report, meta)
 
 
-def _aggregate_cell(estimand, n, method, results, truth: TruthValue, gamma_exact: float | None) -> CellResult:
-    ok = [r[1][estimand.label] for r in results if r[0] == "ok"]
-    failures = len(results) - len(ok)
+def _aggregate_cell(estimand, n, method, outcomes, truth: TruthValue, gamma_exact: float | None) -> CellResult:
+    ok = [detail for status, detail in outcomes if status == "ok"]
+    failures = len(outcomes) - len(ok)
     if not ok:
         nan = float("nan")
         return CellResult(

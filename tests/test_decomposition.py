@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -7,7 +8,6 @@ from pathshift.data import AnalysisFrame
 from pathshift.decomposition import (
     DecompositionConfig,
     DecompositionError,
-    DecompositionReport,
     DisparityComponent,
     contrast,
     decompose,
@@ -99,10 +99,11 @@ def test_wald_ci_and_p_value_match_scipy_stats_bit_for_bit(alpha):
         c = contrast(a, b, alpha=alpha)
         ci, p_value = _old_wald(a.point - b.point, c.se, alpha)
         assert _bits(c.ci) == _bits(ci) and _bits([c.p_value]) == _bits([p_value])
-        assert all(type(v) is np.float64 for v in c.ci) and type(c.p_value) is float
+        # plain floats, so that the CSV writes numbers
+        assert all(type(v) is float for v in c.ci) and type(c.p_value) is float
         for est in (a, b):
             assert _bits(est.ci(alpha)) == _bits(_old_wald(est.point, est.se, alpha)[0])
-            assert all(type(v) is np.float64 for v in est.ci(alpha))
+            assert all(type(v) is float for v in est.ci(alpha))
 
 
 def test_wald_p_value_underflows_to_zero_and_zero_se_is_exact():
@@ -255,11 +256,33 @@ def test_sim1_geometric_decomposition_runs():
 def test_report_serialization_roundtrip_and_csv():
     frame = generate(DgpSpec("sim2_misspec"), 900, seed=13)
     report = decompose_sequential(frame)
-    assert DecompositionReport.from_json(report.to_json()) == report
+    payload = json.loads(report.to_json())
+    assert payload["components"] == report.to_dict()["components"]
+    assert [(c["point"], tuple(c["ci"])) for c in payload["components"]] == [(c.point, c.ci) for c in report.components]
+    assert payload["estimand_meta"] == report.estimand_meta
+    assert payload["diagnostics"] == report.diagnostics
     csv_text = report.to_csv()
     lines = csv_text.strip().splitlines()
     assert lines[0] == "label,value,ci_lo,ci_hi,p"
     assert len(lines) == 1 + len(report.components)
+
+
+@pytest.mark.parametrize("scale", ["difference", "geometric", "probability"])
+def test_csv_cells_are_numbers_on_every_scale(scale):
+    # the Wald interval once came back as numpy scalars, whose repr is not a number
+    frame = generate(DgpSpec("sim1_meps_like"), 900, seed=13)
+    if scale == "probability":
+        frame = AnalysisFrame(
+            x=frame.x, r=frame.r, m_blocks=frame.m_blocks, y=(frame.y != 0).astype(float),
+            scale_applied="positive_indicator",
+        )
+    report = decompose_natural(frame, DecompositionConfig(scale=scale))
+    rows = report.to_csv().strip().splitlines()[1:]
+    assert len(rows) == len(report.components)
+    for row, comp in zip(rows, report.components):
+        label, *cells = row.split(",")
+        assert label == comp.label
+        assert [float(v) for v in cells] == [comp.point, *comp.ci, comp.p_value]
 
 
 def test_decompose_dispatch():

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +18,6 @@ from pathshift.simulation import (
     TRUTH_CHUNK,
     RhoSpec,
     Sim2Exact,
-    SimReport,
     SimulationError,
     TruthValue,
     generate,
@@ -113,10 +114,10 @@ def test_marginal_means_of_covariates():
 
 def test_misspecified_covariate_transform_values():
     frame = generate(DgpSpec("sim2_misspec"), 4, seed=6)
-    ones = frame.with_covariates(np.ones((4, 4)))
+    ones = dataclasses.replace(frame, x=np.ones((4, 4)))
     out = misspecified_matrix(ones)
     assert np.allclose(out[0], [1.0, np.e, 1.0, 2.0 / (np.e + 1.0)])
-    zeros = frame.with_covariates(np.zeros((4, 4)))
+    zeros = dataclasses.replace(frame, x=np.zeros((4, 4)))
     out0 = misspecified_matrix(zeros)
     assert np.allclose(out0[0], [0.0, 1.0, 0.0, 0.0])
 
@@ -124,7 +125,7 @@ def test_misspecified_covariate_transform_values():
 def test_misspecified_transform_keeps_rows_distinct():
     rng = np.random.default_rng(7)
     frame = generate(DgpSpec("sim2_misspec"), 1_000_000, seed=7)
-    out = misspecified_matrix(frame.with_covariates(rng.random((frame.n, 4))))
+    out = misspecified_matrix(dataclasses.replace(frame, x=rng.random((frame.n, 4))))
     assert np.unique(out, axis=0).shape[0] == out.shape[0]
 
 
@@ -343,7 +344,7 @@ def test_centred_bias_against_an_exact_truth_is_the_mean_of_point_minus_hbar():
     # offset from the exact mean must be formed before it is subtracted
     estimand = EstimandId.direct()
     points, hbars = np.array([0.31, 0.29, 0.335]), np.array([0.3, 0.3, 0.3])
-    results = [("ok", {estimand.label: (p, p - 0.1, p + 0.1, h)}) for p, h in zip(points, hbars)]
+    results = [("ok", (p, p - 0.1, p + 0.1, h)) for p, h in zip(points, hbars)]
     results.append(("error", "ValueError()"))
 
     def centred(truth, gamma_exact):
@@ -395,8 +396,10 @@ def test_run_grid_reproducible():
     assert a.to_json() == b.to_json()
 
 
-def test_run_grid_report_is_the_same_with_a_process_pool():
-    # the pool forks after the truth threads have run
+def test_run_grid_report_is_the_same_with_a_process_pool(usable_cores):
+    # the pool forks after the truth threads have run; two usable cores, so
+    # that the pool runs on any host
+    usable_cores(2)
     spec = DgpSpec("sim1_meps_like")
     kwargs = dict(
         estimands=(EstimandId.mediator(1), RhoSpec.direct()),
@@ -410,6 +413,60 @@ def test_run_grid_report_is_the_same_with_a_process_pool():
     pooled = run_grid(spec, n_jobs=2, **kwargs)
     assert serial.cells[0].failures == 0
     assert serial.to_json() == pooled.to_json()
+
+
+def test_run_grid_starts_no_pool_for_one_task(monkeypatch, usable_cores):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one task")
+
+    usable_cores(2)
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+    report = run_grid(
+        DgpSpec("sim2_misspec"), (EstimandId.direct(),), (400,), reps=1, methods=(glm_method(),), n_jobs=2
+    )
+    assert (report.cells[0].reps, report.cells[0].failures) == (1, 0)
+
+
+def test_a_failed_estimand_fails_only_its_own_cells(monkeypatch):
+    # one replicate's frame and cache serve both estimands, and mediator_2's
+    # error must not take direct's estimates with it
+    real_estimate = simulation.estimate
+
+    def estimate_or_fail(frame, q):
+        if q.estimand == EstimandId.mediator(2):
+            raise ValueError("no mediator_2 today")
+        return real_estimate(frame, q)
+
+    monkeypatch.setattr(simulation, "estimate", estimate_or_fail)
+    report = run_grid(
+        DgpSpec("sim2_misspec"), (EstimandId.direct(), EstimandId.mediator(2)), (300,), reps=3,
+        methods=(glm_method(),), base_seed=2,
+    )
+    direct, mediator_2 = report.cells
+    assert (direct.estimand, direct.reps, direct.failures) == ("gamma_direct", 3, 0)
+    assert (mediator_2.estimand, mediator_2.reps, mediator_2.failures) == ("gamma_mediator_2", 0, 3)
+    assert np.isfinite(direct.bias) and np.isnan(mediator_2.bias)
+
+
+def test_a_per_estimand_mapping_grid_equals_each_estimand_run_alone():
+    spec = DgpSpec("sim2_misspec")
+    estimands = (EstimandId.direct(), EstimandId.mediator(2))
+    methods = {e.label: robustness_conditions(e, spec.n_blocks) + (glm_false_method(),) for e in estimands}
+    kwargs = dict(n_list=(300, 500), reps=3, base_seed=6)
+    mapped = run_grid(spec, estimands, methods=methods, **kwargs)
+    alone = [c for e in estimands for c in run_grid(spec, (e,), methods=methods[e.label], **kwargs).cells]
+    assert [c.to_dict() for c in mapped.cells] == [c.to_dict() for c in alone]
+    assert sum(c.failures for c in mapped.cells) == 0
+
+
+def test_a_method_listed_twice_gives_two_equal_cells():
+    report = run_grid(
+        DgpSpec("sim2_misspec"), (EstimandId.mediator(1),), (300,), reps=3,
+        methods=(glm_method(), glm_method()), base_seed=4,
+    )
+    first, second = report.cells
+    assert first.to_dict() == second.to_dict()
+    assert (first.reps, first.failures) == (3, 0)
 
 
 BLAS_THREADS_PROBE = """
@@ -526,7 +583,9 @@ def test_simreport_roundtrip_and_csv_and_curves(tmp_path):
         spec, (EstimandId.direct(),), (400, 800), reps=4, methods=(glm_method(),),
         base_seed=5, truth_draws=100_000,
     )
-    assert SimReport.from_json(report.to_json()).to_json() == report.to_json()
+    payload = json.loads(report.to_json())
+    assert payload["cells"] == [c.to_dict() for c in report.cells]
+    assert payload["meta"] == report.meta
     csv_lines = report.to_csv().strip().splitlines()
     assert len(csv_lines) == 1 + 2  # header + two cells
     paths = report.curve_files(str(tmp_path))
@@ -569,8 +628,6 @@ def test_run_grid_sequential_contrast_target():
 
 
 def test_nonfinite_contrast_se_fails_the_replicate(monkeypatch):
-    import dataclasses
-
     from pathshift import simulation
     from pathshift.simulation import RhoSpec, TruthValue, _run_one_rep
 
@@ -585,7 +642,7 @@ def test_nonfinite_contrast_se_fails_the_replicate(monkeypatch):
     monkeypatch.setattr(simulation, "estimate", estimate_with_nan)
     spec = DgpSpec("sim2_misspec")
     rho = RhoSpec.mediator(1)
-    status, detail = _run_one_rep((spec, (rho,), 300, glm_method(), 4, False, 0.05))
+    [(status, detail)] = _run_one_rep((spec, ((glm_method(), rho),), 300, 4, False, 0.05))
     assert status == "error"
     assert "non-finite standard error" in detail
     report = run_grid(
