@@ -124,7 +124,12 @@ def cmd_decompose(args) -> int:
     scale = args.scale or cfg.get("scale", "difference")
     kind = args.decomposition or cfg.get("decomposition", "natural")
     delta = args.delta if args.delta is not None else float(cfg.get("delta", 0.01))
-    folds = args.crossfit_folds if args.crossfit_folds is not None else cfg.get("crossfit", {}).get("folds")
+    folds = args.crossfit_folds
+    if folds is None:
+        folds = cfg.get("crossfit", {}).get("folds")
+        if folds is not None and int(folds) < 1:
+            print(f"error: config crossfit.folds must be >= 1, got {folds!r}", file=sys.stderr)
+            return 2
     alpha = args.alpha if args.alpha is not None else float(cfg.get("alpha", 0.05))
     data_path = args.data or cfg.get("data")
     if not data_path:
@@ -321,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--scale", choices=["difference", "geometric", "probability"], default=None)
     p_dec.add_argument("--decomposition", choices=["natural", "sequential", "both"], default=None)
     p_dec.add_argument("--delta", type=float, default=None)
-    p_dec.add_argument("--crossfit-folds", type=int, default=None)
+    p_dec.add_argument("--crossfit-folds", type=_at_least(1), default=None)
     p_dec.add_argument("--alpha", type=float, default=None)
     p_dec.add_argument("--threads", type=_at_least(1), default=usable_cores(),
                        help="worker processes for the nuisance fits (default: usable cores)")

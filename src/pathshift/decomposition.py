@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -138,6 +139,10 @@ class DecompositionConfig:
             raise DecompositionError(f"unknown reporting scale {self.scale!r}")
         if not 0 < self.alpha < 1:
             raise DecompositionError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.crossfit_folds is not None and self.crossfit_folds < 1:
+            raise DecompositionError(
+                f"crossfit_folds must be >= 1 (None fits without cross-fitting), got {self.crossfit_folds}"
+            )
 
 
 def _component_scale(config: DecompositionConfig, frame: AnalysisFrame) -> str:
@@ -218,11 +223,16 @@ def _report(frame: AnalysisFrame, config: DecompositionConfig | None, kind: str,
         parts = sum(c.point for c in components[1:])
         if abs(parts - total) > SEQUENTIAL_ADDITIVITY_TOL * max(1.0, abs(total)):
             raise DecompositionError("sequential components failed to telescope to the total")
+    diagnostics = cache.diagnostics()
+    zero_se = [c.label for c in components if c.se == 0.0]
+    if zero_se:  # e.g. an outcome that is 0 throughout one group
+        warnings.warn(f"{kind} components with a standard error of exactly 0: {', '.join(zero_se)}")
+        diagnostics["zero_se_components"] = zero_se
 
     return DecompositionReport(
         components=_finalize(components, out_scale),
         estimand_meta=_meta(frame, config, kind),
-        diagnostics=cache.diagnostics(),
+        diagnostics=diagnostics,
     )
 
 

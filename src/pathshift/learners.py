@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -25,6 +26,7 @@ LOGISTIC_TOL = 1e-8
 LOGISTIC_MAX_ITER = 100
 SEPARATION_RIDGE = 1e-4
 WEIGHT_SOLVER_TOL = 1e-12
+STUMP_PREDICT_BLOCK = 1 << 17  # leaf values (8 bytes each) in one block of a stump prediction
 
 
 class LearnerError(ValueError):
@@ -271,6 +273,8 @@ def fit_boosted_stumps(
     thresholds. Each round then gathers the residuals into every sort order,
     takes one row-wise cumulative sum and one argmax of the squared-error
     gain over all candidates: O(p·n) array work and no loop over features.
+    A prediction takes every round's leaf value in one compare per block of
+    query rows and adds them to ``f0`` in round order, as the fit does.
 
     Deterministic: the first maximum of the feature-major gain vector breaks
     ties toward the lower feature index, then the lower threshold. Constant
@@ -284,31 +288,42 @@ def fit_boosted_stumps(
     orders = np.argsort(xt, axis=1, kind="stable")
     xs = np.take_along_axis(xt, orders, axis=1)
     feat, pos = np.nonzero(np.diff(xs, axis=1))  # split after sorted position pos
-    flat = feat * n + pos
-    cnt_l = (pos + 1).astype(float)
-    cnt_r = n - cnt_l
+    s = feat.size  # candidate splits
+    # in the flat cumsum: each candidate's left sum, then its feature's total
+    at = np.concatenate([feat * n + pos, feat * n + (n - 1)])
+    counts = np.concatenate([pos + 1, n - 1 - pos]).astype(float)  # left counts, then right counts
     thresholds = 0.5 * (xs[feat, pos] + xs[feat, pos + 1])
     f0 = float(y.mean())
     pred = np.full(n, f0)
     stumps: list[tuple[int, float, float, float]] = []
-    for _ in range(rounds if feat.size else 0):
-        csum = np.cumsum((y - pred)[orders], axis=1)
-        sum_l = csum.ravel()[flat]
-        sum_r = csum[:, -1][feat] - sum_l
-        gain = sum_l**2 / cnt_l + sum_r**2 / cnt_r  # SSE reduction + const
-        best = int(np.argmax(gain))
+    for _ in range(rounds if s else 0):
+        sums = (y - pred)[orders].cumsum(axis=1).ravel().take(at)  # a 1-D take skips the 2-D one's ravel
+        sums[s:] -= sums[:s]  # the right sums: total - left
+        gain = sums**2
+        gain /= counts
+        gain = gain[:s] + gain[s:]  # SSE reduction + const
+        best = int(gain.argmax())
         j, thr = int(feat[best]), float(thresholds[best])
-        left = shrinkage * float(sum_l[best] / cnt_l[best])
-        right = shrinkage * float(sum_r[best] / cnt_r[best])
+        left = shrinkage * float(sums[best] / counts[best])
+        right = shrinkage * float(sums[s + best] / counts[s + best])
         stumps.append((j, thr, left, right))
-        pred = pred + np.where(xe[:, j] <= thr, left, right)
+        pred += np.where(xt[j] <= thr, left, right)
     meta = {"loss": float(np.mean((y - pred) ** 2)), "iterations": len(stumps)}
+    cols = np.array([stump[0] for stump in stumps], dtype=np.intp)
+    thrs, lefts, rights = (np.array([stump[k] for stump in stumps])[:, None] for k in (1, 2, 3))
+    flip = lefts.view(np.int64) ^ rights.view(np.int64)  # a round's right leaf XOR flip is its left leaf, bit for bit
 
-    def predict(xq, f0=f0, stumps=stumps, policy=feature_policy, clip=probability):
+    def predict(xq, f0=f0, cols=cols, thr=thrs, right=rights.view(np.int64), flip=flip,
+                policy=feature_policy, clip=probability):
         xq = expand_features(np.atleast_2d(xq), policy)
         out = np.full(xq.shape[0], f0)
-        for j, thr, left, right in stumps:
-            out += np.where(xq[:, j] <= thr, left, right)
+        step = max(1, STUMP_PREDICT_BLOCK // max(1, cols.size))
+        for lo in range(0, xq.shape[0] if cols.size else 0, step):
+            leaves = flip * (xq[lo : lo + step].T[cols] <= thr)  # rounds x rows; a branch-free select
+            leaves ^= right
+            block = out[lo : lo + step]
+            for leaf in leaves.view(np.float64):  # f0 + round 1 + round 2 + ..., in order
+                block += leaf
         return np.clip(out, 0.0, 1.0) if clip else out
 
     return FittedModel(predict, "probability" if probability else "continuous", meta)
@@ -437,16 +452,22 @@ def stratified_folds(n: int, n_folds: int, seed: int, strata: np.ndarray | None 
 
 
 def _simplex_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    positive = np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0]
-    if positive.size == 0:  # float overflow pathology: collapse to the largest coordinate
+    """Euclidean projection onto the probability simplex.
+
+    A super learner has a handful of candidates, so the sort and the running
+    sums go over Python floats, in the order of numpy's descending sort and
+    ``cumsum``. A NaN, which that sort puts first, leaves no positive entry.
+    """
+    u = sorted(v.tolist(), reverse=True)
+    theta = None
+    if not any(x != x for x in u):
+        for k, (uk, ck) in enumerate(zip(u, accumulate(u))):
+            if uk - (ck - 1.0) / (k + 1) > 0:
+                theta = (ck - 1.0) / (k + 1.0)
+    if theta is None:  # float overflow pathology: collapse to the largest coordinate
         out = np.zeros_like(v)
         out[int(np.argmax(v))] = 1.0
         return out
-    rho = positive[-1]
-    theta = css[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 
 
@@ -509,11 +530,12 @@ def fit_super_learner(
     y: np.ndarray,
     seed: int = 0,
     response_type: str = "continuous",
-    strata: np.ndarray | None = None,
 ) -> FittedModel:
     """V-fold stacking: out-of-fold candidate predictions, simplex weights, full refit.
 
-    Candidates that fail on any fold are dropped with a warning; an error is
+    Each fold's rows are sliced once and every candidate is fit on them; a
+    binary response is stratified by its two classes. Candidates that fail
+    on any fold are dropped with a warning, in candidate order; an error is
     raised only when every candidate fails. Weights are nonnegative and sum
     to one; the combination's CV loss is never worse than any single
     candidate's.
@@ -523,28 +545,27 @@ def fit_super_learner(
     if n < cfg.cv_folds:
         raise LearnerError(f"need n >= cv_folds ({n} < {cfg.cv_folds})")
     binary = response_type == "probability"
-    if strata is None and binary:
-        strata = y
-    folds = stratified_folds(n, cfg.cv_folds, seed, strata)
+    folds = stratified_folds(n, cfg.cv_folds, seed, y if binary else None)
 
-    z_cols: list[np.ndarray] = []
-    kept: list[LearnerSpec] = []
-    for spec in cfg.candidates:
-        col = np.empty(n)
-        try:
-            for v in range(cfg.cv_folds):
-                train = folds != v
-                model = fit_spec(spec, x[train], y[train], response_type)
-                col[~train] = model.predict(x[~train])
-        except LearnerError as err:
-            warnings.warn(f"super learner dropped candidate {spec.name}: {err}")
-            continue
-        z_cols.append(col)
-        kept.append(spec)
-    if not kept:
+    z_cols = [np.empty(n) for _ in cfg.candidates]
+    failed: dict[int, LearnerError] = {}
+    for v in range(cfg.cv_folds):
+        test = folds == v
+        x_train, y_train, x_test = x[~test], y[~test], x[test]
+        for c, spec in enumerate(cfg.candidates):
+            if c not in failed:
+                try:
+                    z_cols[c][test] = fit_spec(spec, x_train, y_train, response_type).predict(x_test)
+                except LearnerError as err:
+                    failed[c] = err
+    for c in sorted(failed):
+        warnings.warn(f"super learner dropped candidate {cfg.candidates[c].name}: {failed[c]}")
+    kept_at = [c for c in range(len(cfg.candidates)) if c not in failed]
+    if not kept_at:
         raise LearnerError("all super learner candidates failed")
+    kept = [cfg.candidates[c] for c in kept_at]
 
-    z = np.column_stack(z_cols)
+    z = np.column_stack([z_cols[c] for c in kept_at])
     if binary:
         z = np.clip(z, 0.0, 1.0)
     weights = solve_simplex_weights(z, y, cfg.loss, WEIGHT_SOLVER_TOL)
@@ -612,11 +633,10 @@ def train(
     y: np.ndarray,
     response_type: str = "continuous",
     seed: int = 0,
-    strata: np.ndarray | None = None,
 ) -> FittedModel:
     """Dispatch: fit a plain learner or a super learner from its config."""
     if isinstance(model, SuperLearnerConfig):
-        return fit_super_learner(model, x, y, seed, response_type, strata)
+        return fit_super_learner(model, x, y, seed, response_type)
     return fit_spec(model, x, y, response_type)
 
 

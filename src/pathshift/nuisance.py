@@ -262,7 +262,7 @@ class NuisanceCache:
         if self.route and x_alt is None:
             raise NuisanceError("feature routing requires an alternative covariate matrix")
         n = frame.n
-        self.n_folds = int(folds) if folds else 1
+        self.n_folds = 1 if folds is None else int(folds)
         if self.n_folds < 1:
             raise NuisanceError("folds must be >= 1")
         if self.n_folds > 1:
@@ -349,7 +349,7 @@ class NuisanceCache:
         if scale == "log_positive":
             return fit_two_part(feats, resp, self.learners.binary, self.learners.continuous, seed)
         if scale == "positive_indicator":
-            return train(self.learners.binary, feats, resp, "probability", seed, strata=resp)
+            return train(self.learners.binary, feats, resp, "probability", seed)
         return train(self.learners.continuous, feats, resp, "continuous", seed)
 
     def _fit_fold(self, level: _Level, v: int) -> np.ndarray:
@@ -373,7 +373,7 @@ class NuisanceCache:
                 raise NuisanceError("a training split contains a single group level")
             model = train(
                 self.learners.binary, feats if whole else feats[train_rows], resp, "probability",
-                self._seed(level.key), strata=resp,
+                self._seed(level.key),
             )
         else:
             rows = train_rows & (self.frame.r == level.stratum)

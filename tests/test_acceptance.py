@@ -34,6 +34,8 @@ from pathshift.simulation import (
 )
 from pathshift.toys import FIXTURES
 
+pytestmark = pytest.mark.slow  # `pytest -m "not slow"` skips this file
+
 GRID_SEED = 20250810
 TABLE1_SEED = 20250811
 SIM1_SEED = 20250812

@@ -121,6 +121,53 @@ def test_decompose_rejects_threads_below_one(meps_like_csv, tmp_path, capsys, th
     assert not (tmp_path / "decomposition.json").exists()
 
 
+@pytest.mark.parametrize("folds", ["0", "-1"])
+def test_decompose_rejects_crossfit_folds_flag_below_one(meps_like_csv, tmp_path, capsys, folds):
+    _, cfg = meps_like_csv
+    with pytest.raises(SystemExit) as info:
+        main(["decompose", "--config", cfg, "--out", str(tmp_path), "--crossfit-folds", folds])
+    assert info.value.code == 2
+    assert f"argument --crossfit-folds: must be >= 1, got {folds}" in capsys.readouterr().err
+    assert not (tmp_path / "decomposition.json").exists()
+
+
+def test_decompose_rejects_config_crossfit_folds_below_one(meps_like_csv, tmp_path, capsys):
+    _, cfg = meps_like_csv
+    config = json.loads(open(cfg, encoding="utf-8").read())
+    config["crossfit"] = {"folds": 0}
+    bad = tmp_path / "folds0.json"
+    bad.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["decompose", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "config crossfit.folds must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "decomposition.json").exists()
+
+
+def test_decompose_flags_components_whose_se_is_exactly_zero(meps_like_csv, tmp_path):
+    path, cfg = meps_like_csv
+    argv = ["decompose", "--config", cfg, "--seed", "4", "--threads", "1", "--decomposition", "both"]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    plain = json.loads((tmp_path / "plain" / "decomposition.json").read_text())
+    assert all("zero_se_components" not in rep["diagnostics"] for rep in plain["reports"])
+
+    lines = open(path, encoding="utf-8").read().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        if float(row[3]) == 1.0:  # an outcome of 0 throughout the reference group
+            row[-1] = "0"
+    zero = tmp_path / "zero.csv"
+    zero.write_text("\n".join([lines[0], *(",".join(row) for row in rows)]) + "\n", encoding="utf-8")
+    with pytest.warns(UserWarning) as caught:
+        assert main([*argv, "--data", str(zero), "--out", str(tmp_path / "zero")]) == 0
+    payload = json.loads((tmp_path / "zero" / "decomposition.json").read_text())
+    natural, sequential = payload["reports"]
+    flagged = [f"mediator_{k}" for k in range(1, 5)]
+    assert natural["diagnostics"]["zero_se_components"] == flagged
+    assert all((c["se"] == 0.0) == (c["label"] in flagged) for c in natural["components"])
+    assert "zero_se_components" not in sequential["diagnostics"]
+    messages = [str(w.message) for w in caught]
+    assert f"natural components with a standard error of exactly 0: {', '.join(flagged)}" in messages
+
+
 def test_simulate_rejects_threads_below_one(tmp_path, capsys):
     args = ["simulate", "--dgp", "sim1", "--n", "300", "--reps", "1", "--threads", "0", "--out", str(tmp_path)]
     with pytest.raises(SystemExit) as info:

@@ -302,6 +302,19 @@ def test_config_rejects_alpha_outside_the_unit_interval(alpha):
         DecompositionConfig(alpha=alpha)
 
 
+@pytest.mark.parametrize("folds", [0, -1])
+def test_config_rejects_crossfit_folds_below_one(folds):
+    with pytest.raises(DecompositionError, match=rf"crossfit_folds must be >= 1 .*got {folds}"):
+        DecompositionConfig(crossfit_folds=folds)
+
+
+def test_nuisance_cache_rejects_zero_folds():
+    frame = generate(DgpSpec("sim2_misspec"), 200, seed=1)
+    with pytest.raises(NuisanceError, match="folds must be >= 1"):
+        NuisanceCache(frame, folds=0)
+    assert NuisanceCache(frame, folds=None).n_folds == 1
+
+
 def test_component_invariants_enforced():
     with pytest.raises(DecompositionError, match="CI does not contain"):
         DisparityComponent("total", 1.0, 0.1, (2.0, 3.0), 0.5)

@@ -365,6 +365,246 @@ def test_boosted_stumps_tie_breaks_toward_lower_feature_index():
     assert not np.array_equal(reads_col0, model.predict(np.column_stack([-probe, probe])))
 
 
+def previous_boosted_stumps(x, y, rounds=100, shrinkage=0.1, feature_policy="main_effects", probability=False):
+    """``learners.fit_boosted_stumps`` as it was before its prediction went a
+    block of rows at a time, kept verbatim as the reference for its bytes."""
+    x, y = learners._check_inputs(x, y)
+    xe = expand_features(x, feature_policy)
+    n = xe.shape[0]
+    xt = np.ascontiguousarray(xe.T)
+    orders = np.argsort(xt, axis=1, kind="stable")
+    xs = np.take_along_axis(xt, orders, axis=1)
+    feat, pos = np.nonzero(np.diff(xs, axis=1))  # split after sorted position pos
+    flat = feat * n + pos
+    cnt_l = (pos + 1).astype(float)
+    cnt_r = n - cnt_l
+    thresholds = 0.5 * (xs[feat, pos] + xs[feat, pos + 1])
+    f0 = float(y.mean())
+    pred = np.full(n, f0)
+    stumps: list[tuple[int, float, float, float]] = []
+    for _ in range(rounds if feat.size else 0):
+        csum = np.cumsum((y - pred)[orders], axis=1)
+        sum_l = csum.ravel()[flat]
+        sum_r = csum[:, -1][feat] - sum_l
+        gain = sum_l**2 / cnt_l + sum_r**2 / cnt_r  # SSE reduction + const
+        best = int(np.argmax(gain))
+        j, thr = int(feat[best]), float(thresholds[best])
+        left = shrinkage * float(sum_l[best] / cnt_l[best])
+        right = shrinkage * float(sum_r[best] / cnt_r[best])
+        stumps.append((j, thr, left, right))
+        pred = pred + np.where(xe[:, j] <= thr, left, right)
+    meta = {"loss": float(np.mean((y - pred) ** 2)), "iterations": len(stumps)}
+
+    def predict(xq, f0=f0, stumps=stumps, policy=feature_policy, clip=probability):
+        xq = expand_features(np.atleast_2d(xq), policy)
+        out = np.full(xq.shape[0], f0)
+        for j, thr, left, right in stumps:
+            out += np.where(xq[:, j] <= thr, left, right)
+        return np.clip(out, 0.0, 1.0) if clip else out
+
+    return FittedModel(predict, "probability" if probability else "continuous", meta)
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.asarray(values, dtype=float).ravel()]
+
+
+def _stump_block_rows(rounds):
+    return learners.STUMP_PREDICT_BLOCK // rounds
+
+
+@pytest.mark.parametrize("probability", [False, True])
+@pytest.mark.parametrize("policy", ["main_effects", "quadratic"])
+def test_stump_predictions_keep_the_previous_loops_bytes(policy, probability):
+    rng = np.random.default_rng(21)
+    x = np.column_stack([rng.standard_normal(300), rng.integers(0, 2, 300), np.round(rng.standard_normal(300), 1)])
+    y = x[:, 0] ** 2 - x[:, 1] + rng.standard_normal(300)
+    if probability:
+        y = (y > np.median(y)).astype(float)
+    model = fit_boosted_stumps(x, y, 120, 0.4, policy, probability)
+    ref = previous_boosted_stumps(x, y, 120, 0.4, policy, probability)
+    assert model.training_meta == ref.training_meta
+    step = _stump_block_rows(120)
+    for rows in (1, 2, step - 1, step, step + 1, 2 * step + 3):
+        unseen = rng.standard_normal((rows, 3)) * 3  # most of these rows lie outside the training range
+        unseen[::3, 1] = 7.0
+        for xq in (unseen, x[:rows]):
+            assert hexes(model.predict(xq)) == hexes(ref.predict(xq))
+    if probability:  # the clip is reached on both sides
+        far = rng.standard_normal((400, 3)) * 4
+        raw = fit_boosted_stumps(x, y, 120, 0.4, policy).predict(far)
+        assert raw.min() < 0.0 and raw.max() > 1.0
+        assert hexes(model.predict(far)) == hexes(np.clip(raw, 0.0, 1.0)) == hexes(ref.predict(far))
+
+
+def test_stump_predictions_without_stumps_are_the_mean():
+    x = np.full((25, 3), 2.0)  # every feature constant: no split exists
+    y = np.linspace(-1.0, 2.0, 25)
+    model = fit_boosted_stumps(x, y, rounds=50)
+    ref = previous_boosted_stumps(x, y, rounds=50)
+    assert model.training_meta == ref.training_meta == {"loss": ref.training_meta["loss"], "iterations": 0}
+    for xq in (x[:1], np.random.default_rng(2).standard_normal((7, 3))):
+        assert hexes(model.predict(xq)) == hexes(ref.predict(xq)) == hexes(np.full(xq.shape[0], y.mean()))
+
+
+def previous_fit_super_learner(cfg, x, y, seed=0, response_type="continuous", strata=None):
+    """``learners.fit_super_learner`` as it was before each CV fold was sliced
+    once for every candidate, kept verbatim as the reference for its bytes."""
+    x, y = learners._check_inputs(x, y)
+    n = x.shape[0]
+    if n < cfg.cv_folds:
+        raise LearnerError(f"need n >= cv_folds ({n} < {cfg.cv_folds})")
+    binary = response_type == "probability"
+    if strata is None and binary:
+        strata = y
+    folds = stratified_folds(n, cfg.cv_folds, seed, strata)
+
+    z_cols: list[np.ndarray] = []
+    kept: list[LearnerSpec] = []
+    for spec in cfg.candidates:
+        col = np.empty(n)
+        try:
+            for v in range(cfg.cv_folds):
+                train = folds != v
+                model = fit_spec(spec, x[train], y[train], response_type)
+                col[~train] = model.predict(x[~train])
+        except LearnerError as err:
+            warnings.warn(f"super learner dropped candidate {spec.name}: {err}")
+            continue
+        z_cols.append(col)
+        kept.append(spec)
+    if not kept:
+        raise LearnerError("all super learner candidates failed")
+
+    z = np.column_stack(z_cols)
+    if binary:
+        z = np.clip(z, 0.0, 1.0)
+    weights = solve_simplex_weights(z, y, cfg.loss, learners.WEIGHT_SOLVER_TOL)
+
+    if cfg.loss == "log_loss":
+        zc = np.clip(z, 1e-12, 1 - 1e-12)
+        cv_losses = [-float(np.mean(y * np.log(zc[:, j]) + (1 - y) * np.log(1 - zc[:, j]))) for j in range(z.shape[1])]
+        pc = np.clip(z @ weights, 1e-12, 1 - 1e-12)
+        combo_loss = -float(np.mean(y * np.log(pc) + (1 - y) * np.log(1 - pc)))
+    else:
+        cv_losses = [float(np.mean((y - z[:, j]) ** 2)) for j in range(z.shape[1])]
+        combo_loss = float(np.mean((y - z @ weights) ** 2))
+
+    full_models = [fit_spec(spec, x, y, response_type) for spec in kept]
+
+    def predict(xq, models=full_models, w=weights, clip=binary):
+        preds = np.column_stack([m.predict(xq) for m in models])
+        if clip:
+            preds = np.clip(preds, 0.0, 1.0)
+        out = preds @ w
+        return np.clip(out, 0.0, 1.0) if clip else out
+
+    meta = {
+        "weights": {spec.name: float(w) for spec, w in zip(kept, weights)},
+        "cv_losses": {spec.name: loss for spec, loss in zip(kept, cv_losses)},
+        "cv_loss_combination": combo_loss,
+        "dropped": [spec.name for spec in cfg.candidates if spec not in kept],
+    }
+    return FittedModel(predict, "probability" if binary else "continuous", meta)
+
+
+def _sl_case(binary):
+    rng = np.random.default_rng(8 if binary else 9)
+    n = 240
+    x = np.column_stack([rng.integers(0, 3, n), rng.integers(0, 2, n), rng.integers(-1, 2, n)]).astype(float)
+    x[17, 0] = 5.0  # a cell seen once: the saturated candidate meets it unseen in one fold only
+    y = x[:, 0] - x[:, 1] + 0.5 * x[:, 2] + rng.standard_normal(n)
+    if binary:
+        y = (y > np.median(y)).astype(float)
+    return x, y
+
+
+@pytest.mark.parametrize("binary, loss", [(False, "squared_error"), (True, "squared_error"), (True, "log_loss")])
+def test_super_learner_keeps_the_previous_loops_bytes(binary, loss):
+    x, y = _sl_case(binary)
+    response = "probability" if binary else "continuous"
+    folds = stratified_folds(x.shape[0], 4, 6, y if binary else None)
+    failing = []
+    for v in range(4):
+        try:
+            fit_saturated(x[folds != v], y[folds != v]).predict(x[folds == v])
+        except LearnerError:
+            failing.append(v)
+    assert len(failing) == 1
+    cfg = SuperLearnerConfig(
+        candidates=(
+            LearnerSpec("saturated"),
+            LearnerSpec("mean"),
+            LearnerSpec("logistic" if binary else "linear"),
+            LearnerSpec("ridge", feature_policy="quadratic", ridge_lambda=1e-3),
+            LearnerSpec("boosted_stumps", rounds=30),
+        ),
+        cv_folds=4,
+        loss=loss,
+    )
+    with pytest.warns(UserWarning) as new_warnings:
+        model = fit_super_learner(cfg, x, y, seed=6, response_type=response)
+    with pytest.warns(UserWarning) as old_warnings:
+        ref = previous_fit_super_learner(cfg, x, y, seed=6, response_type=response)
+    assert [str(w.message) for w in new_warnings] == [str(w.message) for w in old_warnings]
+    assert model.training_meta["dropped"] == ["saturated"]
+    assert model.training_meta == ref.training_meta
+    assert hexes(list(model.training_meta["weights"].values())) == hexes(list(ref.training_meta["weights"].values()))
+    queries = np.column_stack([np.random.default_rng(1).integers(0, 3, 50), np.zeros(50), np.linspace(-2, 2, 50)])
+    for xq in (x, x[:1], queries):
+        assert hexes(model.predict(xq)) == hexes(ref.predict(xq))
+
+
+def test_super_learner_drops_every_failed_candidate_in_candidate_order():
+    x, y = _sl_case(False)
+    cfg = SuperLearnerConfig(
+        candidates=(LearnerSpec("logistic"), LearnerSpec("mean"), LearnerSpec("saturated")), cv_folds=3
+    )
+    with pytest.warns(UserWarning) as caught:
+        model = fit_super_learner(cfg, x, y, seed=2)
+    with pytest.warns(UserWarning) as ref_caught:
+        previous_fit_super_learner(cfg, x, y, seed=2)
+    messages = [str(w.message) for w in caught]
+    assert messages == [str(w.message) for w in ref_caught]
+    assert [m.split(":")[0] for m in messages] == [
+        "super learner dropped candidate logistic", "super learner dropped candidate saturated",
+    ]
+    assert model.training_meta["dropped"] == ["logistic", "saturated"]
+
+
+def previous_simplex_project(v):
+    """``learners._simplex_project`` as it was before it ran on Python floats,
+    kept verbatim as the reference for its bytes."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    positive = np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0]
+    if positive.size == 0:  # float overflow pathology: collapse to the largest coordinate
+        out = np.zeros_like(v)
+        out[int(np.argmax(v))] = 1.0
+        return out
+    rho = positive[-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_simplex_projection_keeps_the_previous_bytes(m):
+    rng = np.random.default_rng(m)
+    cases = [rng.standard_normal(m) * scale for scale in (1e-3, 1.0, 50.0) for _ in range(300)]
+    cases += [np.round(rng.standard_normal(m), 1) for _ in range(300)]  # ties
+    cases += [-np.abs(rng.standard_normal(m)) - k for k in range(50)]  # every entry negative
+    cases += [np.full(m, 0.25), np.zeros(m), np.full(m, -0.0), np.full(m, 1e300), np.eye(m)[0] * 1e17]
+    nonfinite = np.zeros(m)
+    for bad in (np.nan, np.inf, -np.inf):
+        nonfinite[m // 2] = bad
+        cases.append(nonfinite.copy())
+    for v in cases:
+        out = learners._simplex_project(v)
+        assert out.dtype == np.float64 and out.shape == (m,)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert hexes(out) == hexes(previous_simplex_project(v)), v
+
+
 def test_knn_k1_memorizes_training_points():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((50, 2))
