@@ -11,6 +11,7 @@ simplex.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -193,7 +194,7 @@ def _irls(d: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, int, bo
     for it in range(1, LOGISTIC_MAX_ITER + 1):
         np.subtract(1, expit_eta, out=w)
         w *= expit_eta
-        np.clip(w, 1e-12, None, out=w)
+        np.maximum(w, 1e-12, out=w)  # what np.clip(w, 1e-12, None) calls, without its wrappers
         np.subtract(y, expit_eta, out=z)
         z /= w
         z += eta
@@ -209,12 +210,12 @@ def _irls(d: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, int, bo
         eta = d @ beta
         expit_eta = expit(eta)
         mu = np.clip(expit_eta, 1e-12, 1 - 1e-12)
-        new_dev = -2.0 * float(np.sum(y * np.log(mu) + (1 - y) * np.log(1 - mu)))
+        new_dev = -2.0 * float((y * np.log(mu) + (1 - y) * np.log(1 - mu)).sum())
         new_dev += lam * float(beta[1:] @ beta[1:])
         if abs(dev - new_dev) < LOGISTIC_TOL:
             return beta, it, True
         dev = new_dev
-        if np.max(np.abs(eta)) > 30:
+        if np.abs(eta).max() > 30:
             # fitted probabilities are numerically 0/1: separation territory
             return beta, it, False
     return beta, LOGISTIC_MAX_ITER, False
@@ -518,7 +519,8 @@ def solve_simplex_weights(z: np.ndarray, y: np.ndarray, loss: str, tol: float) -
             step *= 0.5
         if not improved:
             break
-        if np.linalg.norm(g - g.mean()) * step < tol:
+        d = g - g.mean()
+        if math.sqrt(d @ d) * step < tol:  # np.linalg.norm(d), without its wrappers
             break
     w = w / w.sum()
     return w

@@ -605,6 +605,85 @@ def test_simplex_projection_keeps_the_previous_bytes(m):
             assert hexes(out) == hexes(previous_simplex_project(v)), v
 
 
+def previous_solve_simplex_weights(z, y, loss, tol):
+    """``learners.solve_simplex_weights`` as it was before its stopping rule
+    skipped ``np.linalg.norm``'s wrappers, kept verbatim as the reference for
+    its bytes, with ``previous_simplex_project`` for its projection."""
+    n, m = z.shape
+    if m == 1:
+        return np.ones(1)
+
+    if loss == "log_loss":
+        zc = np.clip(z, 1e-12, 1 - 1e-12)
+
+        def f(w):
+            p = np.clip(zc @ w, 1e-12, 1 - 1e-12)
+            return -float(np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
+
+        def grad(w):
+            p = np.clip(zc @ w, 1e-12, 1 - 1e-12)
+            return zc.T @ ((p - y) / (p * (1 - p))) / n
+    else:
+
+        def f(w):
+            r = z @ w - y
+            return float(r @ r) / n
+
+        def grad(w):
+            return 2.0 * (z.T @ (z @ w - y)) / n
+
+    vertex_losses = np.array([f(np.eye(m)[j]) for j in range(m)])
+    w = np.eye(m)[int(np.argmin(vertex_losses))].copy()
+    fw = f(w)
+    step = 1.0
+    for _ in range(2000):
+        g = grad(w)
+        improved = False
+        while step > 1e-16:
+            cand = previous_simplex_project(w - step * g)
+            fc = f(cand)
+            if fc < fw:
+                w, fw = cand, fc
+                improved = True
+                step = min(step * 1.5, 1e4)
+                break
+            step *= 0.5
+        if not improved:
+            break
+        if np.linalg.norm(g - g.mean()) * step < tol:
+            break
+    w = w / w.sum()
+    return w
+
+
+@pytest.mark.parametrize("loss", ["squared_error", "log_loss"])
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_simplex_weights_keep_the_previous_bytes(loss, m):
+    rng = np.random.default_rng(10 * m)
+    for n in (40, 300):
+        y = (rng.random(n) < 0.4).astype(float)
+        z = np.clip(y[:, None] * rng.random(m) + rng.random((n, m)) * 0.6, 0.0, 1.0)
+        z[:, -1] = z[:, 0]  # two candidates that tie
+        z[:, m // 2] = 0.4  # a constant candidate
+        weights = solve_simplex_weights(z, y, loss, learners.WEIGHT_SOLVER_TOL)
+        assert hexes(weights) == hexes(previous_solve_simplex_weights(z, y, loss, learners.WEIGHT_SOLVER_TOL))
+
+
+@pytest.mark.parametrize("seed", [71, 72, 99])
+def test_simplex_weights_keep_the_previous_bytes_where_the_stopping_rule_decides(seed):
+    # interior optima whose weights move when the tolerance goes from 1e-12 to 1e-11
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(120)
+    z = y[:, None] + rng.standard_normal((120, 3)) * np.array([0.5, 0.6, 0.7])
+    tol = learners.WEIGHT_SOLVER_TOL
+    assert hexes(solve_simplex_weights(z, y, "squared_error", tol)) != hexes(
+        solve_simplex_weights(z, y, "squared_error", 10 * tol)
+    )
+    assert hexes(solve_simplex_weights(z, y, "squared_error", tol)) == hexes(
+        previous_solve_simplex_weights(z, y, "squared_error", tol)
+    )
+
+
 def test_knn_k1_memorizes_training_points():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((50, 2))
