@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -28,10 +28,15 @@ LOGISTIC_MAX_ITER = 100
 SEPARATION_RIDGE = 1e-4
 WEIGHT_SOLVER_TOL = 1e-12
 STUMP_PREDICT_BLOCK = 1 << 17  # leaf values (8 bytes each) in one block of a stump prediction
+STUMP_GROUP_BYTES = 256 << 10  # gathered residuals (8 bytes per feature and row) of one lockstep group of stump fits
 
 
 class LearnerError(ValueError):
     """A learner could not be fit on the data it was given."""
+
+
+class CVFoldsError(LearnerError):
+    """A super learner was given fewer rows than its CV folds."""
 
 
 @dataclass(frozen=True)
@@ -257,65 +262,139 @@ def fit_logistic(
     return FittedModel(predict, "probability", meta)
 
 
-def fit_boosted_stumps(
-    x: np.ndarray,
-    y: np.ndarray,
-    rounds: int = 100,
-    shrinkage: float = 0.1,
-    feature_policy: str = "main_effects",
-    probability: bool = False,
-) -> FittedModel:
-    """Gradient-boosted depth-1 regression trees under squared error.
-
-    Only the residuals change between rounds, so the split search is set up
-    once per fit: the ``(p, n)`` sort orders, the sorted feature values and
-    the flat list of candidate splits ``(feature, position)`` wherever a
-    sorted value changes, with their left/right counts and midpoint
-    thresholds. Each round then gathers the residuals into every sort order,
-    takes one row-wise cumulative sum and one argmax of the squared-error
-    gain over all candidates: O(p·n) array work and no loop over features.
-    A prediction takes every round's leaf value in one compare per block of
-    query rows and adds them to ``f0`` in round order, as the fit does.
-
-    Deterministic: the first maximum of the feature-major gain vector breaks
-    ties toward the lower feature index, then the lower threshold. Constant
-    features offer no split; when every feature is constant the fit has no
-    stumps. With ``probability=True`` predictions are clipped to [0, 1].
-    """
-    x, y = _check_inputs(x, y)
-    xe = expand_features(x, feature_policy)
-    n = xe.shape[0]
+def _sorted_features(xe: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each feature's stable sort over all rows: the ``(p, n)`` features, their
+    sort orders and their sorted values."""
     xt = np.ascontiguousarray(xe.T)
     orders = np.argsort(xt, axis=1, kind="stable")
-    xs = np.take_along_axis(xt, orders, axis=1)
-    feat, pos = np.nonzero(np.diff(xs, axis=1))  # split after sorted position pos
-    s = feat.size  # candidate splits
-    # in the flat cumsum: each candidate's left sum, then its feature's total
-    at = np.concatenate([feat * n + pos, feat * n + (n - 1)])
-    counts = np.concatenate([pos + 1, n - 1 - pos]).astype(float)  # left counts, then right counts
-    thresholds = 0.5 * (xs[feat, pos] + xs[feat, pos + 1])
-    f0 = float(y.mean())
-    pred = np.full(n, f0)
-    stumps: list[tuple[int, float, float, float]] = []
-    for _ in range(rounds if s else 0):
-        sums = (y - pred)[orders].cumsum(axis=1).ravel().take(at)  # a 1-D take skips the 2-D one's ravel
-        sums[s:] -= sums[:s]  # the right sums: total - left
+    return xt, orders, np.take_along_axis(xt, orders, axis=1)
+
+
+class _StumpFit(NamedTuple):
+    """One stump fit's set-up: its ``(p, n)`` features and sort orders, its
+    response, and its candidate splits ``(feat, pos)`` with their midpoint
+    thresholds, wherever a sorted value changes (after sorted position pos)."""
+
+    xt: np.ndarray
+    orders: np.ndarray
+    y: np.ndarray
+    feat: np.ndarray
+    pos: np.ndarray
+    thresholds: np.ndarray
+
+
+def _stump_fit(features: tuple, rows: np.ndarray | None, y: np.ndarray) -> _StumpFit:
+    """The set-up of a fit on the rows a mask keeps (None keeps all). Its
+    orders are the full orders filtered by the mask and renumbered to the
+    kept rows' positions, which is what a stable sort of those rows gives."""
+    xt, orders, xs = features
+    if rows is not None:
+        if not rows.any():
+            raise LearnerError("no rows to fit on")
+        p, n = xt.shape[0], int(np.count_nonzero(rows))
+        keep = rows[orders]
+        position = np.cumsum(rows) - 1  # of each kept row among the kept rows
+        xt, orders, xs, y = xt[:, rows], position[orders[keep]].reshape(p, n), xs[keep].reshape(p, n), y[rows]
+    feat, pos = np.nonzero(np.diff(xs, axis=1))
+    return _StumpFit(xt, orders, y, feat, pos, 0.5 * (xs[feat, pos] + xs[feat, pos + 1]))
+
+
+def _boost_group(fits: list[_StumpFit], rounds: int, shrinkage: float) -> list[tuple]:
+    """Boost :func:`_stump_fit` set-ups that each have a candidate split, in
+    lockstep. Returns each fit's ``(cols, (thresholds, lefts, rights), pred)``:
+    its rounds' features and leaves, and its training predictions.
+
+    A round gathers every fit's residuals into its sort orders, two features
+    as the two halves of one ``complex128`` lane (an odd last feature is
+    paired with itself), each fit's rows padded to the longest fit's. One
+    cumulative sum runs along every lane; each half makes the additions of its
+    own feature's ``float64`` cumulative sum, in the same order. The gains of
+    all fits fill one ``(fits, candidates)`` array padded with ``-inf``, so
+    each fit's first maximum breaks ties as a fit of its own would.
+    """
+    m, p = len(fits), fits[0].xt.shape[0]
+    sizes = [fit.y.size for fit in fits]
+    bounds = list(accumulate(sizes, initial=0))
+    pairs, width, s = (p + 1) // 2, max(sizes), max(fit.feat.size for fit in fits)
+    gather = np.zeros((m, pairs, width, 2), dtype=np.intp)  # padding gathers row 0; no candidate reads it
+    at = np.zeros((2, m, s), dtype=np.intp)  # in the cumsum's flat float view: left sums, then feature totals
+    counts = np.ones((2, m, s))  # left counts, then right counts
+    feat_at, thresholds = np.zeros((m, s), dtype=np.intp), np.zeros((m, s))
+    for g, (_, orders, y, feat, pos, thr) in enumerate(fits):
+        n, k = y.size, feat.size
+        lanes = orders if p % 2 == 0 else np.vstack([orders, orders[-1:]])
+        gather[g, :, :n] = lanes.reshape(pairs, 2, n).transpose(0, 2, 1) + bounds[g]
+        lane = (g * pairs + feat // 2) * width * 2 + feat % 2  # each candidate's feature's first sum
+        at[:, g, :k] = lane + 2 * pos, lane + 2 * (n - 1)
+        counts[:, g, :k] = pos + 1, n - 1 - pos
+        feat_at[g, :k], thresholds[g, :k] = feat, thr
+    padding = np.flatnonzero(np.arange(s) >= np.array([fit.feat.size for fit in fits])[:, None])
+    first = np.arange(m) * s
+    gather, at, counts = gather.ravel(), at.reshape(2, -1), counts.reshape(2, -1)
+    feat_at, thresholds = feat_at.ravel(), thresholds.ravel()
+    leaf_of = 2 * np.repeat(np.arange(m), sizes)  # each row's fit in a round's (right, left) leaf pairs
+    y_all = np.concatenate([fit.y for fit in fits])
+    pred = np.repeat([float(fit.y.mean()) for fit in fits], sizes)
+    goes_left = np.empty(pred.size, dtype=bool)
+    best_at, leaves = np.empty((rounds, m), dtype=np.intp), np.empty((rounds, 2, m))
+    for r in range(rounds):
+        csum = (y_all - pred).take(gather).view(np.complex128).reshape(-1, width).cumsum(axis=1)
+        sums = csum.view(np.float64).ravel().take(at)
+        sums[1] -= sums[0]  # the right sums: total - left
         gain = sums**2
         gain /= counts
-        gain = gain[:s] + gain[s:]  # SSE reduction + const
-        best = int(gain.argmax())
-        j, thr = int(feat[best]), float(thresholds[best])
-        left = shrinkage * float(sums[best] / counts[best])
-        right = shrinkage * float(sums[s + best] / counts[s + best])
-        stumps.append((j, thr, left, right))
-        pred += np.where(xt[j] <= thr, left, right)
-    meta = {"loss": float(np.mean((y - pred) ** 2)), "iterations": len(stumps)}
-    cols = np.array([stump[0] for stump in stumps], dtype=np.intp)
-    thrs, lefts, rights = (np.array([stump[k] for stump in stumps])[:, None] for k in (1, 2, 3))
+        gain = gain[0] + gain[1]  # SSE reduction + const
+        gain.put(padding, -np.inf)
+        best = best_at[r] = gain.reshape(m, s).argmax(axis=1) + first
+        leaf = leaves[r] = shrinkage * (sums.take(best, axis=1) / counts.take(best, axis=1))
+        for g, j, thr in zip(range(m), feat_at.take(best).tolist(), thresholds.take(best).tolist()):
+            np.less_equal(fits[g].xt[j], thr, out=goes_left[bounds[g] : bounds[g + 1]])
+        pred += leaf[::-1].T.ravel().take(leaf_of + goes_left)
+    cols, thrs = feat_at[best_at], thresholds[best_at]
+    return [(cols[:, g], (thrs[:, g], leaves[:, 0, g], leaves[:, 1, g]), pred[bounds[g] : bounds[g + 1]])
+            for g in range(m)]
+
+
+def _fit_stumps(features: tuple, row_sets: list, y: np.ndarray, rounds: int, shrinkage: float, policy: str,
+                probability: bool) -> list[FittedModel]:
+    """Boosted stumps on each row set (a mask, or None for every row) of
+    features sorted once by :func:`_sorted_features`; ``policy`` expands the
+    query rows of each model's predictions.
+
+    Fits with a candidate split boost in lockstep groups, in order, while the
+    group's gathered residuals stay within ``STUMP_GROUP_BYTES``; a fit with
+    none boosts no rounds. Every fit gives the bytes of a fit of its own.
+    """
+    fits = [_stump_fit(features, rows, y) for rows in row_sets]
+    lane_bytes = 8 * (features[0].shape[0] + features[0].shape[0] % 2)  # gathered bytes per row
+    no_stumps = (np.empty(0, dtype=np.intp), (np.empty(0),) * 3)
+    outs = [(*no_stumps, np.full(fit.y.size, float(fit.y.mean()))) for fit in fits]
+    groups, used = [], 0
+    for i, fit in enumerate(fits):
+        if fit.feat.size:
+            if groups and used + lane_bytes * fit.y.size <= STUMP_GROUP_BYTES:
+                groups[-1].append(i)
+                used += lane_bytes * fit.y.size
+            else:
+                groups.append([i])
+                used = lane_bytes * fit.y.size
+    for group in groups:
+        for i, out in zip(group, _boost_group([fits[i] for i in group], rounds, shrinkage)):
+            outs[i] = out
+    return [_stump_model(fit.y, *out, policy, probability) for fit, out in zip(fits, outs)]
+
+
+def _stump_model(y, cols, leaves, pred, policy: str, probability: bool) -> FittedModel:
+    """The fitted stumps, predicting ``f0`` plus every round's leaf in round
+    order, one compare per block of query rows."""
+    f0 = float(y.mean())
+    meta = {"loss": float(np.mean((y - pred) ** 2)), "iterations": cols.size}
+    cols = np.ascontiguousarray(cols)
+    thrs, lefts, rights = (np.ascontiguousarray(leaf)[:, None] for leaf in leaves)
     flip = lefts.view(np.int64) ^ rights.view(np.int64)  # a round's right leaf XOR flip is its left leaf, bit for bit
 
     def predict(xq, f0=f0, cols=cols, thr=thrs, right=rights.view(np.int64), flip=flip,
-                policy=feature_policy, clip=probability):
+                policy=policy, clip=probability):
         xq = expand_features(np.atleast_2d(xq), policy)
         out = np.full(xq.shape[0], f0)
         step = max(1, STUMP_PREDICT_BLOCK // max(1, cols.size))
@@ -328,6 +407,37 @@ def fit_boosted_stumps(
         return np.clip(out, 0.0, 1.0) if clip else out
 
     return FittedModel(predict, "probability" if probability else "continuous", meta)
+
+
+def fit_boosted_stumps(
+    x: np.ndarray,
+    y: np.ndarray,
+    rounds: int = 100,
+    shrinkage: float = 0.1,
+    feature_policy: str = "main_effects",
+    probability: bool = False,
+) -> FittedModel:
+    """Gradient-boosted depth-1 regression trees under squared error.
+
+    Only the residuals change between rounds, so the split search is set up
+    once per fit: the ``(p, n)`` sort orders and the flat list of candidate
+    splits ``(feature, position)`` wherever a sorted value changes, with
+    their left/right counts and midpoint thresholds. Each round then gathers
+    the residuals into every sort order, takes one cumulative sum along them
+    and one argmax of the squared-error gain over all candidates: O(p·n)
+    array work and no loop over features (see :func:`_boost_group`, which
+    also boosts a super learner's CV folds together). A prediction takes
+    every round's leaf value in one compare per block of query rows and adds
+    them to ``f0`` in round order, as the fit does.
+
+    Deterministic: the first maximum of the feature-major gain vector breaks
+    ties toward the lower feature index, then the lower threshold. Constant
+    features offer no split; when every feature is constant the fit has no
+    stumps. With ``probability=True`` predictions are clipped to [0, 1].
+    """
+    x, y = _check_inputs(x, y)
+    features = _sorted_features(expand_features(x, feature_policy))
+    return _fit_stumps(features, [None], y, rounds, shrinkage, feature_policy, probability)[0]
 
 
 def fit_knn(
@@ -535,31 +645,51 @@ def fit_super_learner(
 ) -> FittedModel:
     """V-fold stacking: out-of-fold candidate predictions, simplex weights, full refit.
 
-    Each fold's rows are sliced once and every candidate is fit on them; a
-    binary response is stratified by its two classes. Candidates that fail
-    on any fold are dropped with a warning, in candidate order; an error is
-    raised only when every candidate fails. Weights are nonnegative and sum
-    to one; the combination's CV loss is never worse than any single
-    candidate's.
+    A binary response is stratified by its two classes. Each feature policy's
+    expansion is made once, and each fold's rows are sliced once for every
+    candidate. A boosted-stumps candidate sorts its features once over all
+    rows and boosts its CV folds together (:func:`_fit_stumps`); its refit
+    uses the same sort. Candidates that fail on any fold are dropped with a
+    warning, in candidate order; an error is raised only when every candidate
+    fails. Weights are nonnegative and sum to one; the combination's CV loss
+    is never worse than any single candidate's.
     """
     x, y = _check_inputs(x, y)
     n = x.shape[0]
     if n < cfg.cv_folds:
-        raise LearnerError(f"need n >= cv_folds ({n} < {cfg.cv_folds})")
+        raise CVFoldsError(f"need n >= cv_folds ({n} < {cfg.cv_folds})")
     binary = response_type == "probability"
     folds = stratified_folds(n, cfg.cv_folds, seed, y if binary else None)
 
+    # the kinds that read a feature policy fit the expansion under main effects
+    policies = ["main_effects" if spec.kind in ("mean", "saturated") else spec.feature_policy
+                for spec in cfg.candidates]
+    plain = [replace(spec, feature_policy="main_effects") for spec in cfg.candidates]
+    expanded = {policy: expand_features(x, policy) for policy in dict.fromkeys(policies)}
+    sorted_features = {policy: _sorted_features(expanded[policy])
+                       for spec, policy in zip(cfg.candidates, policies) if spec.kind == "boosted_stumps"}
     z_cols = [np.empty(n) for _ in cfg.candidates]
     failed: dict[int, LearnerError] = {}
-    for v in range(cfg.cv_folds):
-        test = folds == v
-        x_train, y_train, x_test = x[~test], y[~test], x[test]
-        for c, spec in enumerate(cfg.candidates):
-            if c not in failed:
+    tests = [folds == v for v in range(cfg.cv_folds)]
+    for test in tests:
+        y_train, parts = y[~test], {policy: (xe[~test], xe[test]) for policy, xe in expanded.items()}
+        for c, spec in enumerate(plain):
+            if c not in failed and spec.kind != "boosted_stumps":
+                x_train, x_test = parts[policies[c]]
                 try:
                     z_cols[c][test] = fit_spec(spec, x_train, y_train, response_type).predict(x_test)
                 except LearnerError as err:
                     failed[c] = err
+    for c, spec in enumerate(cfg.candidates):
+        if spec.kind == "boosted_stumps":
+            try:
+                models = _fit_stumps(sorted_features[policies[c]], [~test for test in tests], y, spec.rounds,
+                                     spec.shrinkage, "main_effects", binary)
+            except LearnerError as err:
+                failed[c] = err
+                continue
+            for test, model in zip(tests, models):
+                z_cols[c][test] = model.predict(expanded[policies[c]][test])
     for c in sorted(failed):
         warnings.warn(f"super learner dropped candidate {cfg.candidates[c].name}: {failed[c]}")
     kept_at = [c for c in range(len(cfg.candidates)) if c not in failed]
@@ -581,7 +711,17 @@ def fit_super_learner(
         cv_losses = [float(np.mean((y - z[:, j]) ** 2)) for j in range(z.shape[1])]
         combo_loss = float(np.mean((y - z @ weights) ** 2))
 
-    full_models = [fit_spec(spec, x, y, response_type) for spec in kept]
+    full_models = []
+    for c, spec in zip(kept_at, kept):
+        policy = policies[c]
+        if spec.kind == "boosted_stumps":
+            model = _fit_stumps(sorted_features[policy], [None], y, spec.rounds, spec.shrinkage, policy, binary)[0]
+        else:
+            model = fit_spec(plain[c], expanded[policy], y, response_type)
+            if policy != "main_effects":  # the model expands its query rows
+                model = replace(model, predict=lambda xq, fit=model.predict, policy=policy:
+                                fit(expand_features(xq, policy)))
+        full_models.append(model)
 
     def predict(xq, models=full_models, w=weights, clip=binary):
         preds = np.column_stack([m.predict(xq) for m in models])
@@ -609,18 +749,24 @@ def fit_two_part(
     """Two-part composite for zero-inflated outcomes.
 
     Part one models P(y != 0); part two regresses y on the nonzero rows; the
-    prediction is exactly their rowwise product.
+    prediction is exactly their rowwise product. A part's error names the
+    part and keeps its type.
     """
     x, y = _check_inputs(x, y)
     nonzero = y != 0.0
     if not nonzero.any():
         warnings.warn("two-part fit: no nonzero responses, returning constant zero")
         return FittedModel(lambda q: np.zeros(np.atleast_2d(q).shape[0]), "continuous", {"degenerate_zero": True})
-    if nonzero.all():
-        p_model = FittedModel(lambda q: np.ones(np.atleast_2d(q).shape[0]), "probability", {"constant": 1.0})
-    else:
-        p_model = train(zero_model, x, nonzero.astype(float), "probability", seed)
-    m_model = train(positive_model, x[nonzero], y[nonzero], "continuous", seed + 1)
+    try:
+        part = "zero part P(y != 0)"
+        if nonzero.all():
+            p_model = FittedModel(lambda q: np.ones(np.atleast_2d(q).shape[0]), "probability", {"constant": 1.0})
+        else:
+            p_model = train(zero_model, x, nonzero.astype(float), "probability", seed)
+        part = f"positive part ({int(nonzero.sum())} nonzero rows)"
+        m_model = train(positive_model, x[nonzero], y[nonzero], "continuous", seed + 1)
+    except LearnerError as err:
+        raise type(err)(f"two-part fit, {part}: {err}") from err
 
     def predict(xq, p=p_model.predict, m=m_model.predict):
         return p(xq) * m(xq)

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import AnalysisFrame
-from .learners import LearnerSpec, SuperLearnerConfig, fit_two_part, stratified_folds, train
+from .learners import CVFoldsError, LearnerError, LearnerSpec, SuperLearnerConfig, fit_two_part, stratified_folds, train
 from .parallel import _one_blas_thread, usable_cores
 
 DEFAULT_DELTA = 0.01
@@ -266,6 +266,13 @@ class NuisanceCache:
         if self.n_folds < 1:
             raise NuisanceError("folds must be >= 1")
         if self.n_folds > 1:
+            for arm, label in enumerate(frame.group_labels):
+                rows = int(np.count_nonzero(frame.r == arm))
+                if rows < self.n_folds:
+                    raise NuisanceError(
+                        f"{self.n_folds} cross-fit folds (--crossfit-folds, crossfit.folds) exceed the {rows} "
+                        f"complete rows of group level {label:g} (R={arm})"
+                    )
             self.fold_labels = stratified_folds(n, self.n_folds, seed, strata=frame.r)
         else:
             self.fold_labels = np.zeros(n, dtype=np.int64)
@@ -362,36 +369,48 @@ class NuisanceCache:
         parent's out-of-fold vector, else the parent's fold-v model's, made
         only now that a child reads it. So with more than one fold the fold
         models are kept.
+
+        A learner's error is raised again as a :class:`NuisanceError` that
+        names the level, its group level and the fold.
         """
-        test = self.fold_labels == v
-        train_rows = ~test if self.n_folds > 1 else test
-        feats = self._features(level.name, level.prefix)
-        whole = self.n_folds == 1
-        if level.stratum is None:
-            resp = self.frame.r[train_rows].astype(float)
-            if resp.min() == resp.max():
-                raise NuisanceError("a training split contains a single group level")
-            model = train(
-                self.learners.binary, feats if whole else feats[train_rows], resp, "probability",
-                self._seed(level.key),
-            )
-        else:
-            rows = train_rows & (self.frame.r == level.stratum)
-            if not rows.any():
-                raise NuisanceError(f"empty stratum R={level.stratum} in a training split")
-            seed = self._seed(level.key + (v,))
-            parent = level.parent
-            if parent is None:
-                model = self._outcome_model(feats[rows], self.frame.y[rows], seed)
+        try:
+            test = self.fold_labels == v
+            train_rows = ~test if self.n_folds > 1 else test
+            feats = self._features(level.name, level.prefix)
+            whole = self.n_folds == 1
+            if level.stratum is None:
+                resp = self.frame.r[train_rows].astype(float)
+                if resp.min() == resp.max():
+                    raise NuisanceError("a training split contains a single group level")
+                model = train(
+                    self.learners.binary, feats if whole else feats[train_rows], resp, "probability",
+                    self._seed(level.key),
+                )
             else:
-                if self.n_folds == 1:
-                    resp = parent.oof[rows]
+                rows = train_rows & (self.frame.r == level.stratum)
+                if not rows.any():
+                    raise NuisanceError(f"empty stratum R={level.stratum} in a training split")
+                seed = self._seed(level.key + (v,))
+                parent = level.parent
+                if parent is None:
+                    model = self._outcome_model(feats[rows], self.frame.y[rows], seed)
                 else:
-                    resp = parent.models[v].predict(self._features(parent.name, parent.prefix)[rows])
-                model = train(self.learners.continuous, feats[rows], resp, "continuous", seed)
-        if self.n_folds > 1:
-            level.models[v] = model
-        return model.predict(feats if whole else feats[test])
+                    if self.n_folds == 1:
+                        resp = parent.oof[rows]
+                    else:
+                        resp = parent.models[v].predict(self._features(parent.name, parent.prefix)[rows])
+                    model = train(self.learners.continuous, feats[rows], resp, "continuous", seed)
+            if self.n_folds > 1:
+                level.models[v] = model
+            return model.predict(feats if whole else feats[test])
+        except LearnerError as err:
+            where = [f"nuisance {level.name}"]
+            if level.stratum is not None:
+                where.append(f"group level {self.frame.group_labels[level.stratum]:g} (R={level.stratum})")
+            if self.n_folds > 1:
+                where.append(f"cross-fit fold {v + 1} of {self.n_folds}")
+            hint = "; the super learner's CV folds are set by superlearner.cv_folds"
+            raise NuisanceError(f"{', '.join(where)}: {err}{hint if isinstance(err, CVFoldsError) else ''}") from err
 
     def _merge(self, level: _Level, preds: list[np.ndarray]) -> _Level:
         """Store the level's out-of-fold vector, built from each fold's test-row

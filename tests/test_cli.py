@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from pathshift import cli
+from pathshift import cli, nuisance
 from pathshift.cli import _learner_from_config, _parse_estimands, main
 from pathshift.data import DataError
 from pathshift.learners import LearnerSpec, SuperLearnerConfig, default_binary_sl, default_continuous_sl
@@ -140,6 +140,79 @@ def test_decompose_rejects_config_crossfit_folds_below_one(meps_like_csv, tmp_pa
     assert main(["decompose", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert "config crossfit.folds must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "decomposition.json").exists()
+
+
+def _rewrite_rows(path, out, change):
+    """The study CSV with ``change(row)`` applied to each data row; a row
+    that ``change`` maps to None is left out."""
+    lines = open(path, encoding="utf-8").read().splitlines()
+    rows = [change(line.split(",")) for line in lines[1:]]
+    out.write_text("\n".join([lines[0], *(",".join(row) for row in rows if row is not None)]) + "\n", encoding="utf-8")
+    return str(out)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_decompose_names_the_nuisance_whose_learner_fails(meps_like_csv, tmp_path, capsys, usable_cores, threads):
+    usable_cores(2)  # the tree pool runs on any host
+    path, cfg_path = meps_like_csv
+    nonzero = []
+
+    def one_nonzero_reference_outcome(row):
+        if float(row[3]) == 1.0 and float(row[-1]) != 0.0:
+            nonzero.append(row)
+            if len(nonzero) > 1:
+                row[-1] = "0"
+        return row
+
+    cfg = json.loads(open(cfg_path).read())
+    cfg.update(data=_rewrite_rows(path, tmp_path / "zero.csv", one_nonzero_reference_outcome), learner="superlearner",
+               superlearner={"candidates": ["mean", "linear"], "cv_folds": 5}, crossfit={"folds": 2})
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    argv = ["decompose", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"), "--seed", "3",
+            "--scale", "geometric", "--threads", threads]
+    with pytest.warns(UserWarning) as caught:
+        assert main(argv) == 2
+    assert "two-part fit: no nonzero responses, returning constant zero" in [str(w.message) for w in caught]
+    (error,) = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    # the positive part of the reference level's outcome model has one row for five CV folds
+    assert error.startswith("error: nuisance Q0, group level 1 (R=0), cross-fit fold ")
+    assert "two-part fit, positive part (1 nonzero rows): need n >= cv_folds (1 < 5)" in error
+    assert error.endswith("set by superlearner.cv_folds")
+    assert not (tmp_path / "out" / "decomposition.json").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_decompose_refuses_more_crossfit_folds_than_a_group_level_has_rows(
+    meps_like_csv, tmp_path, capsys, monkeypatch, source
+):
+    path, cfg_path = meps_like_csv
+    kept = []
+
+    def two_comparison_rows(row):
+        if float(row[3]) == 2.0:
+            kept.append(row)
+            if len(kept) > 2:
+                return None
+        return row
+
+    cfg = json.loads(open(cfg_path).read())
+    cfg["data"] = _rewrite_rows(path, tmp_path / "few.csv", two_comparison_rows)
+    argv = ["decompose", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"), "--threads", "1"]
+    if source == "flag":
+        argv += ["--crossfit-folds", "5"]
+    else:
+        cfg["crossfit"] = {"folds": 5}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a nuisance was fit")
+
+    monkeypatch.setattr(nuisance, "train", no_fit)
+    monkeypatch.setattr(nuisance, "fit_two_part", no_fit)
+    assert main(argv) == 2
+    message = "5 cross-fit folds (--crossfit-folds, crossfit.folds) exceed the 2 complete rows of group level 2 (R=1)"
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "decomposition.json").exists()
 
 
 def test_decompose_flags_components_whose_se_is_exactly_zero(meps_like_csv, tmp_path):

@@ -359,13 +359,12 @@ def test_fold_pool_gives_the_serial_bytes(learners, folds, two_usable_cores):
 def test_fold_pool_raises_the_serial_error(two_usable_cores):
     rng = np.random.default_rng(16)
     n = 40
-    r = np.zeros(n, dtype=np.int8)
-    r[0] = 1  # lone comparison row: its fold's complement is single-class
+    r = np.zeros(n, dtype=np.int8)  # no comparison rows: pi's one training split is single-class
     frame = AnalysisFrame(x=rng.standard_normal((n, 1)), r=r, m_blocks=(rng.standard_normal((n, 1)),), y=rng.standard_normal(n))
     errors = []
     for jobs in (1, 2):
         with pytest.raises(NuisanceError) as info:
-            decompose(frame, DecompositionConfig(crossfit_folds=4), jobs=jobs)
+            decompose(frame, DecompositionConfig(), jobs=jobs)
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1] == (NuisanceError, "a training split contains a single group level")
 
@@ -385,7 +384,7 @@ def test_fold_pool_raises_the_error_a_serial_walk_meets_first(two_usable_cores):
     config = DecompositionConfig(learners=SATURATED, crossfit_folds=2, seed=seed)
     errors = []
     for jobs in (1, 2):
-        with pytest.raises(LearnerError) as info:
+        with pytest.raises(NuisanceError) as info:
             decompose(frame, config, jobs=jobs)
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]

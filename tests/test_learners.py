@@ -447,6 +447,49 @@ def test_stump_predictions_without_stumps_are_the_mean():
         assert hexes(model.predict(xq)) == hexes(ref.predict(xq)) == hexes(np.full(xq.shape[0], y.mean()))
 
 
+def _stump_folds_case(p, probability):
+    """Five CV folds of unequal length over p features; the training rows of
+    fold 0 hold feature 0 constant, so that fold has fewer candidate splits
+    than the others (none at p = 1)."""
+    rng = np.random.default_rng(30 + p)
+    n = 203
+    folds = stratified_folds(n, 5, 7)
+    x = np.round(rng.standard_normal((n, p)), 1)
+    x[:, 0] = np.where(folds == 0, rng.integers(0, 3, n), 1.0)
+    y = x[:, 0] - np.sin(3 * x[:, -1]) + rng.standard_normal(n)
+    if probability:
+        y = (y > np.median(y)).astype(float)
+    return x, y, [folds != v for v in range(5)]
+
+
+@pytest.mark.parametrize("budget", ["one_group", "two_per_group", "groups_of_one"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("probability", [False, True])
+def test_stump_folds_boosted_together_keep_the_bytes_of_separate_fits(monkeypatch, budget, p, probability):
+    x, y, trains = _stump_folds_case(p, probability)
+    fit_bytes = 8 * (p + p % 2) * 163  # a fold's gathered residuals: 162 or 163 rows, features in pairs
+    monkeypatch.setattr(learners, "STUMP_GROUP_BYTES", {"one_group": 5 * fit_bytes, "two_per_group": 2 * fit_bytes,
+                                                        "groups_of_one": 0}[budget])
+    groups = []
+    boost_group = learners._boost_group
+
+    def counted(fits, *args):
+        groups.append(len(fits))
+        return boost_group(fits, *args)
+
+    monkeypatch.setattr(learners, "_boost_group", counted)
+    models = learners._fit_stumps(learners._sorted_features(x), trains, y, 60, 0.3, "main_effects", probability)
+    boosted = 4 if p == 1 else 5  # a fold without a candidate split boosts no rounds
+    assert groups == {"one_group": [boosted], "two_per_group": [2, 2] + [1] * (boosted - 4),
+                      "groups_of_one": [1] * boosted}[budget]
+    for train, model in zip(trains, models):
+        ref = previous_boosted_stumps(x[train], y[train], 60, 0.3, "main_effects", probability)
+        assert model.training_meta == ref.training_meta
+        for xq in (x[~train], x[train]):
+            assert hexes(model.predict(xq)) == hexes(ref.predict(xq))
+    assert [model.training_meta["iterations"] for model in models] == [60 * (p > 1)] + [60] * 4
+
+
 def previous_fit_super_learner(cfg, x, y, seed=0, response_type="continuous", strata=None):
     """``learners.fit_super_learner`` as it was before each CV fold was sliced
     once for every candidate, kept verbatim as the reference for its bytes."""
@@ -551,6 +594,36 @@ def test_super_learner_keeps_the_previous_loops_bytes(binary, loss):
     assert model.training_meta == ref.training_meta
     assert hexes(list(model.training_meta["weights"].values())) == hexes(list(ref.training_meta["weights"].values()))
     queries = np.column_stack([np.random.default_rng(1).integers(0, 3, 50), np.zeros(50), np.linspace(-2, 2, 50)])
+    for xq in (x, x[:1], queries):
+        assert hexes(model.predict(xq)) == hexes(ref.predict(xq))
+
+
+@pytest.mark.parametrize("budget", [1 << 30, 12_000, 0], ids=["one_group", "two_per_group", "groups_of_one"])
+@pytest.mark.parametrize("binary, loss", [(False, "squared_error"), (True, "squared_error"), (True, "log_loss")])
+def test_super_learner_stump_groups_keep_the_previous_bytes(monkeypatch, budget, binary, loss):
+    # 180 training rows per CV fold: a fold's 4 features gather 5,760 bytes, and
+    # the 10 pairwise-expanded features 14,400
+    monkeypatch.setattr(learners, "STUMP_GROUP_BYTES", budget)
+    x, y = _sl_case(binary)
+    x = np.column_stack([x, np.round(np.random.default_rng(5).standard_normal(x.shape[0]), 1)])
+    response = "probability" if binary else "continuous"
+    cfg = SuperLearnerConfig(
+        candidates=(
+            LearnerSpec("mean"),
+            LearnerSpec("ridge", feature_policy="quadratic", ridge_lambda=1e-3),
+            LearnerSpec("boosted_stumps", rounds=30),
+            LearnerSpec("boosted_stumps", feature_policy="pairwise_interactions", rounds=20, shrinkage=0.3),
+        ),
+        cv_folds=4,
+        loss=loss,
+    )
+    model = fit_super_learner(cfg, x, y, seed=6, response_type=response)
+    # the reference sorts and boosts each stump fit on its own
+    monkeypatch.setattr(learners, "fit_boosted_stumps", previous_boosted_stumps)
+    ref = previous_fit_super_learner(cfg, x, y, seed=6, response_type=response)
+    assert model.training_meta == ref.training_meta
+    assert hexes(list(model.training_meta["weights"].values())) == hexes(list(ref.training_meta["weights"].values()))
+    queries = np.random.default_rng(3).standard_normal((60, 4)) * 2
     for xq in (x, x[:1], queries):
         assert hexes(model.predict(xq)) == hexes(ref.predict(xq))
 

@@ -214,11 +214,10 @@ def test_crossfit_runs_and_validates():
 def test_single_class_training_split_errors():
     rng = np.random.default_rng(16)
     n = 40
-    r = np.zeros(n, dtype=np.int8)
-    r[0] = 1  # lone comparison row: its fold's complement is single-class
+    r = np.zeros(n, dtype=np.int8)  # no comparison rows: the one training split is single-class
     frame = AnalysisFrame(x=rng.standard_normal((n, 1)), r=r, m_blocks=(rng.standard_normal((n, 1)),), y=rng.standard_normal(n))
     with pytest.raises(NuisanceError, match="single group level"):
-        NuisanceCache(frame, folds=4, seed=0).pi()
+        NuisanceCache(frame, seed=0).pi()
 
 
 def test_route_requires_alternative_covariates():
