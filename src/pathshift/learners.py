@@ -727,6 +727,8 @@ def fit_super_learner(
         preds = np.column_stack([m.predict(xq) for m in models])
         if clip:
             preds = np.clip(preds, 0.0, 1.0)
+        unused = w == 0  # a weight of 0 adds 0, also where its candidate overflows
+        preds[:, unused] = np.where(np.isfinite(preds[:, unused]), preds[:, unused], 0.0)
         out = preds @ w
         return np.clip(out, 0.0, 1.0) if clip else out
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from pathshift import cli, nuisance, oracle, simulation
+from pathshift import cli, data, nuisance, oracle, simulation
 from pathshift.simulation import DgpSpec, generate
 
 
@@ -16,7 +16,7 @@ def usable_cores(monkeypatch):
     or its lanes by ``usable_cores`` see that many cores, whatever the host."""
 
     def set_cores(count: int) -> None:
-        for module in (cli, nuisance, oracle, simulation):
+        for module in (cli, data, nuisance, oracle, simulation):
             monkeypatch.setattr(module, "usable_cores", lambda: count)
 
     return set_cores

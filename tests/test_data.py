@@ -1,6 +1,8 @@
 import csv
 import importlib.util
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -132,6 +134,7 @@ READER_EDGE_CASES = {
     "padded_header": (" a , b\n1,2\n", ()),
     "duplicate_header": ("a,a\n1,2\n", ()),
     "empty_file": ("", ()),
+    "blank_header": ("\n1\n", ()),
 }
 
 
@@ -171,6 +174,191 @@ def test_load_csv_matches_row_reader_on_benchmark_csv(tmp_path, monkeypatch):
     # a clean file never reaches the row reader
     monkeypatch.setattr(data, "_read_rows", None)
     assert_same_load(data_path, (-1, -7, -8, -9))
+
+
+@pytest.fixture
+def ranged(monkeypatch, usable_cores):
+    """Call it with a core count and a block size in bytes to parse every body
+    in that many ranges; blocks of 1 byte hold one line each."""
+
+    def set_ranges(cores: int, block_bytes: int = 1) -> None:
+        monkeypatch.setattr(data, "CSV_RANGE_BYTES", 1)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+        usable_cores(cores)
+
+    return set_ranges
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# (usable cores, block bytes): one range of blocks of a line or two, ranges of
+# one-line blocks, and three ranges of about one block each
+LAYOUTS = [(1, 6), (2, 1), (3, 6), (3, 24)]
+
+
+@pytest.mark.parametrize("cores, block_bytes", LAYOUTS)
+@pytest.mark.parametrize("case", sorted(READER_EDGE_CASES))
+def test_ranged_load_csv_matches_row_reader(tmp_path, ranged, case, cores, block_bytes):
+    ranged(cores, block_bytes)
+    text, na_codes = READER_EDGE_CASES[case]
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_same_load(str(path), na_codes)
+    assert_no_child_process()
+
+
+# a line of a nine-line two-column body that each case puts at every line in
+# turn, so that it falls in each range or block and straddles each edge
+RANGED_LINES = {
+    "quoted_newline": '"1\n",2',
+    "quoted_newline_refused": '"1\n2",3',
+    "blank_line": "",
+    "bare_cr": "1,2\r3,4",
+    "bare_cr_quoted": '"1\r",2',
+    "empty_cell": "1,",
+    "non_numeric": "1,x",
+    "short_row": "1",
+    "sentinel": "-9,-0",
+    "no_final_newline": None,
+}
+
+
+def ranged_text(case: str, at: int) -> str:
+    rows = [f"{i}.5,{-i}e1" for i in range(9)]
+    if RANGED_LINES[case] is None:
+        return "a,b\n" + "\n".join(rows[: at + 1])
+    rows[at] = RANGED_LINES[case]
+    return "a,b\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("cores, block_bytes", LAYOUTS)
+@pytest.mark.parametrize("at", range(9))
+@pytest.mark.parametrize("case", sorted(RANGED_LINES))
+def test_ranged_load_csv_matches_row_reader_wherever_the_odd_line_falls(tmp_path, ranged, case, at, cores, block_bytes):
+    ranged(cores, block_bytes)
+    path = tmp_path / "ranged.csv"
+    path.write_bytes(ranged_text(case, at).encode("utf-8"))
+    assert_same_load(str(path), (-9, 0))
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_quoted_newline_across_a_block_edge_reads_as_the_row_reader(tmp_path, monkeypatch, ranged, cores):
+    # one cell "1\n2", which the row reader refuses; each one-line block alone
+    # reads a clean number on its side of the edge, which with two cores is
+    # also the edge between the ranges
+    ranged(cores)
+    text = "a\n" + "3\n" * 2 + '"1\n"2\n'
+    path = tmp_path / "straddle.csv"
+    # the same bytes with spaces for quotes read as four rows, in ranges that
+    # start at the first row and, with two cores, at the last
+    path.write_bytes(text.replace('"', " ").encode("utf-8"))
+    parse_ranges = data._parse_ranges
+    range_starts = []
+
+    def recorded(parts):
+        range_starts.extend(part[1] for part in parts)
+        return parse_ranges(parts)
+
+    monkeypatch.setattr(data, "_parse_ranges", recorded)
+    assert load_csv(str(path)).n_rows == 4
+    assert range_starts == [2, text.index('"2')][:cores]
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(DataError, match=r":4: non-numeric value '1\\n2'"):
+        load_csv(str(path))
+    assert_same_load(str(path), ())
+
+
+def test_ranged_load_csv_parses_the_benchmark_csv_without_the_row_reader(tmp_path, monkeypatch, ranged):
+    path = tmp_path / "bench.csv"
+    rows = np.random.default_rng(4).standard_normal((500, 4))
+    rows[::7, 2] = -9
+    path.write_text("w,x,y,z\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows))
+    expected = reference_load_csv(str(path), (-9,))
+    monkeypatch.setattr(data, "_read_rows", None)
+    for cores, block_bytes in [(1, data._BLOCK_BYTES), *LAYOUTS]:
+        ranged(cores, block_bytes)
+        got = load_csv(str(path), (-9,))
+        for name, column in expected.columns.items():
+            assert got.column(name).tobytes() == column.tobytes()
+    assert_no_child_process()
+
+
+def test_a_refused_range_kills_and_reaps_the_other_workers(tmp_path, monkeypatch, ranged):
+    ranged(3)
+    parent = os.getpid()
+    parse_range = data._parse_range
+
+    def slow_worker(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return parse_range(*args)
+
+    monkeypatch.setattr(data, "_parse_range", slow_worker)
+    path = tmp_path / "refused.csv"
+    path.write_bytes(("a,b\n,1\n" + "1,2\n" * 50).encode("utf-8"))
+    start = time.perf_counter()
+    got = load_csv(str(path))
+    assert time.perf_counter() - start < 30  # the first range is refused, so its workers are killed
+    assert np.isnan(got.column("a")[0]) and got.n_rows == 51
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("death", ["killed", "raises", "exit_code", "raises_here", "fork_fails"])
+def test_a_dying_range_worker_leads_to_the_row_reader(tmp_path, monkeypatch, ranged, death):
+    ranged(3)
+    parent = os.getpid()
+    parse_range = data._parse_range
+    if death == "fork_fails":
+        fork = os.fork
+        forks = []
+
+        def second_fork_fails():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError("fork")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+
+    def dying(*args):
+        if os.getpid() != parent:
+            if death == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if death == "raises":
+                raise MemoryError("worker")
+            if death == "exit_code":
+                os._exit(3)
+        elif death == "raises_here":
+            raise OSError("range 0")
+        return parse_range(*args)
+
+    calls = []
+    read_rows = data._read_rows
+    monkeypatch.setattr(data, "_parse_range", dying)
+    monkeypatch.setattr(data, "_read_rows", lambda *args: calls.append(args) or read_rows(*args))
+    path = tmp_path / "dying.csv"
+    path.write_bytes(("a,b\n" + "1,-9\n" * 30).encode("utf-8"))
+    got = load_csv(str(path), (-9,))
+    assert len(calls) == 1
+    assert np.array_equal(got.column("b"), np.full(30, np.nan), equal_nan=True)
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("text", ["a,b\n1,2\n3,4\n5,6\n", "a,b\n1,\n3,4\n5,6\n"], ids=["numpy", "row_reader"])
+def test_load_csv_columns_are_read_only(tmp_path, ranged, text, cores):
+    ranged(cores)
+    path = tmp_path / "ro.csv"
+    path.write_bytes(text.encode("utf-8"))
+    ds = load_csv(str(path))
+    for column in ds.columns.values():
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
 
 
 def toy_roles(scale="raw"):

@@ -847,6 +847,24 @@ def test_super_learner_all_fail_raises():
             fit_super_learner(cfg, x, y, seed=0)
 
 
+@pytest.mark.parametrize("response_type", ["continuous", "probability"])
+def test_super_learner_ignores_what_a_zero_weight_candidate_predicts(response_type):
+    # candidates that overflow on a covariate near 1e200 take weight 0; their
+    # non-finite predictions must not turn 0 * inf into NaN
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((200, 3))
+    x[:, 1] *= 1e200
+    binary = response_type == "probability"
+    y = (rng.random(200) < 0.5).astype(float) if binary else x[:, 0] + rng.standard_normal(200)
+    cfg = learners.default_binary_sl() if binary else learners.default_continuous_sl()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = fit_super_learner(cfg, x, y, seed=1, response_type=response_type)
+        pred = model.predict(x)
+    assert 0.0 in model.training_meta["weights"].values()
+    assert np.isfinite(pred).all()
+
+
 def test_super_learner_deterministic_given_seed():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((80, 3))
