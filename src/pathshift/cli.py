@@ -18,7 +18,7 @@ from .data import DataError, build_frame, load_csv, role_spec_from_config
 from .decomposition import DecompositionConfig, DecompositionReport, decompose
 from .learners import LearnerSpec, SuperLearnerConfig, default_binary_sl, default_continuous_sl
 from .nuisance import EstimandId, NuisanceLearners
-from .parallel import steady_heap, usable_cores
+from .parallel import WorkerError, steady_heap, usable_cores
 from .oracle import DiscreteDgp, cascade_mc, enumerate_gamma, one_step_population_value
 from .simulation import (
     DgpSpec,
@@ -358,9 +358,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ValueError) as err:
+    except (DataError, ValueError, WorkerError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(err, WorkerError) else 2  # a worker died, say killed by the kernel for memory
 
 
 if __name__ == "__main__":

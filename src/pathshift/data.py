@@ -13,14 +13,13 @@ import io
 import itertools
 import mmap
 import os
-import signal
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .parallel import usable_cores
+from .parallel import fork_map, usable_cores
 
 OUTCOME_SCALES = ("raw", "log_positive", "positive_indicator")
 
@@ -118,9 +117,9 @@ def _parse_body(path: str, start: int, width: int, na: list[float]) -> np.ndarra
     lines are refused.
 
     The blocks form min(usable cores, body bytes // CSV_RANGE_BYTES) ranges of
-    consecutive blocks and about equal bytes. Range 0 is parsed here and every
-    other range in a forked worker; each writes the rows of its blocks into
-    their own columns of the array.
+    consecutive blocks and about equal bytes. Each range is parsed in a forked
+    worker, or here if it is the only one, and writes the rows of its blocks
+    into their own columns of the array.
     """
     with open(path, "rb") as handle:
         blocks = _scan(handle, start)
@@ -143,7 +142,9 @@ def _scan(handle, start: int) -> list[tuple[int, int]] | None:
     the end, as the text layer splits lines (at LF, CRLF or a lone CR); None
     where a block holds an odd number of quotes.
 
-    A block is about ``_BLOCK_BYTES`` long and ends on a line end. A block
+    A block is about ``_BLOCK_BYTES`` long and ends on the next line end of
+    either kind, never between the CR and the LF of a CRLF; that end is
+    looked for at most 4 KiB at a time, as a file may have no LF. A block
     whose lines numpy reads in full has no literal quote, so an odd count
     means it ends inside a quoted field.
     """
@@ -151,9 +152,15 @@ def _scan(handle, start: int) -> list[tuple[int, int]] | None:
     blocks = []
     while chunk := handle.read(_BLOCK_BYTES):
         lo = handle.tell() - len(chunk)
-        # end each block on a line end, so that no \r\n spans two blocks
-        if not chunk.endswith(b"\n"):
-            chunk += handle.readline()
+        while not chunk.endswith(b"\n"):  # extend the block to its next line end
+            if chunk.endswith(b"\r"):  # a lone CR, or the CR of a CRLF
+                chunk += handle.read(1) if handle.peek(1).startswith(b"\n") else b""
+                break
+            if not (line := handle.readline(2**12)):
+                break
+            cut = line.find(b"\r") + 1 or len(line)
+            handle.seek(cut - len(line), os.SEEK_CUR)
+            chunk += line[:cut]
         if b'"' in chunk and chunk.count(b'"') % 2:
             return None
         ends = np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))  # 3-4x faster than bytes.count
@@ -163,60 +170,41 @@ def _scan(handle, start: int) -> list[tuple[int, int]] | None:
     return blocks
 
 
-def _parse_range(path: str, lo: int, outs: list[np.ndarray], na: list[float]) -> bool:
-    """Parse the lines from byte ``lo`` into each of ``outs`` in turn, one
-    column a row and ``out.shape[1]`` lines each; False where numpy's reader
-    refuses them or could read them differently from the row reader.
+def _parse_range(part: tuple) -> None:
+    """Parse the lines from byte ``lo`` of ``part = (path, lo, outs, na)``
+    into each of ``outs`` in turn, one column a row and ``out.shape[1]``
+    lines each; raise ValueError where numpy's reader refuses them or could
+    read them differently from the row reader.
 
     numpy skips blank lines and joins quoted newlines, so its row count must
     equal the number of lines for each of its rows to be one row of the file.
     A block at a time keeps numpy's own buffer small.
     """
+    path, lo, outs, na = part
     raw = open(path, "rb")
     raw.seek(lo)
     with io.TextIOWrapper(raw, encoding="utf-8", newline="") as text, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         for out in outs:
             width, lines = out.shape
-            try:
-                part = np.loadtxt(
-                    itertools.islice(text, lines), delimiter=",", dtype=float, comments=None, quotechar='"', ndmin=2
-                )
-            except ValueError:
-                return False
-            if part.shape != (lines, width):
-                return False
-            part[np.isin(part, na)] = np.nan
-            out[...] = part.T
-    return True
+            rows = np.loadtxt(
+                itertools.islice(text, lines), delimiter=",", dtype=float, comments=None, quotechar='"', ndmin=2
+            )
+            if rows.shape != (lines, width):
+                raise DataError(f"{path}: numpy reads the {lines} lines from byte {lo} as {rows.shape} cells")
+            rows[np.isin(rows, na)] = np.nan
+            out[...] = rows.T
 
 
 def _parse_ranges(parts: list[tuple]) -> bool:
-    """:func:`_parse_range` on ``parts[0]`` here and on every other part in a
-    forked worker: True if every call returned True. A call that raises, a
-    worker that dies and a fork that fails count as False; every worker is
-    reaped before this returns, and the rest are killed once one part fails."""
-    workers = []
-    ok = False
+    """:func:`_parse_range` on every part, each in a forked worker when there
+    are several (:func:`~pathshift.parallel.fork_map`): False if one raises,
+    which stops the others, or if a worker dies or a fork fails."""
     try:
-        for part in parts[1:]:
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    code = 0 if _parse_range(*part) else 1
-                finally:
-                    os._exit(code)
-            workers.append(pid)
-        ok = _parse_range(*parts[0])
-    except Exception:
-        pass  # ok stays False: the caller reads the file with the row reader
-    finally:
-        for pid in workers:
-            if not ok:
-                os.kill(pid, signal.SIGKILL)
-            ok = os.waitpid(pid, 0)[1] == 0 and ok
-    return ok
+        fork_map(_parse_range, parts, len(parts))
+    except Exception:  # noqa: BLE001 - the caller reads the file with the row reader
+        return False
+    return True
 
 
 def _read_rows(path: str, na_codes: Sequence[float]) -> Dataset:

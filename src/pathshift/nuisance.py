@@ -15,10 +15,9 @@ truncated into [delta, 1 - delta].
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import multiprocessing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .data import AnalysisFrame
 from .learners import CVFoldsError, LearnerError, LearnerSpec, SuperLearnerConfig, fit_two_part, stratified_folds, train
-from .parallel import _one_blas_thread, usable_cores
+from .parallel import fork_map, pool_size
 
 DEFAULT_DELTA = 0.01
 
@@ -438,30 +437,23 @@ class NuisanceCache:
         The planned levels split into trees: ``pi``, one ``g_k``, or one
         outcome level with the levels that descend from it. A tree holds all
         that its levels read, so each (tree, fold) is a task; the largest
-        trees go out first. The pool has at most ``jobs`` workers and the
-        usable cores, and is not started for fewer than two tasks. Workers
-        are forked with the cache and send back only test-row predictions;
-        the fitted models stay there, so with cross-fitting no chain fit
-        later may extend a level fit here. Warnings, then the error, are
-        raised again in the order a serial walk meets them.
+        trees go out first, on :func:`~pathshift.parallel.fork_map`'s
+        workers; nothing is fitted here when it would fork none. Workers
+        inherit the cache and send back only test-row predictions; the
+        fitted models stay there, so with cross-fitting no chain fit later
+        may extend a level fit here. Warnings, then the error, are raised
+        again in the order a serial walk meets them.
         """
         levels = self._plan(estimands)
         trees = _trees(levels)
         tasks = _tasks(trees, self.n_folds)
-        workers = min(len(tasks), jobs, usable_cores())
-        if workers < 2:
+        if pool_size(len(tasks), jobs) < 2:
             return
         preds, caught, failed = {}, [], []
-        # forked workers inherit the cache; a spawned one imports numpy and the
-        # package afresh, which costs more than the fits it takes over
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            workers, mp_context=fork, initializer=_start_tree_worker, initargs=(self, trees)
-        ) as pool:
-            for fitted, warned, error in pool.map(_walk_tree, tasks):
-                preds.update(fitted)
-                caught += warned
-                failed += [error] if error else []
+        for fitted, warned, error in fork_map(functools.partial(_walk_tree, self, trees), tasks, jobs):
+            preds.update(fitted)
+            caught += warned
+            failed += [error] if error else []
         first = min(failed, key=lambda fail: fail[0]) if failed else None
         for at, category, message in sorted(caught, key=lambda warned: warned[0]):
             if first is None or at <= first[0]:
@@ -534,22 +526,12 @@ def _tasks(trees: list, n_folds: int) -> list[tuple[int, int]]:
     return sorted(tasks, key=lambda task: (-len(trees[task[0]]), task))
 
 
-_POOL: tuple = ()  # a tree worker's (cache, trees)
-
-
-def _start_tree_worker(cache: NuisanceCache, trees: list) -> None:
-    global _POOL
-    _one_blas_thread()
-    _POOL = (cache, trees)
-
-
-def _walk_tree(task: tuple[int, int]) -> tuple[dict, list[tuple], tuple | None]:
+def _walk_tree(cache: NuisanceCache, trees: list, task: tuple[int, int]) -> tuple[dict, list[tuple], tuple | None]:
     """Fit fold v of tree t's levels, parents first, in a tree worker. Returns
     the test-row predictions keyed by (plan position, fold), the warnings as
     ((position, fold), category, message), and the error that stopped the
     walk as ((position, fold), error), if any."""
     t, v = task
-    cache, trees = _POOL
     preds, caught, error = {}, [], None
     for position, level in trees[t]:
         with warnings.catch_warnings(record=True) as seen:

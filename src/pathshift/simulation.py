@@ -31,7 +31,7 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +42,7 @@ from .decomposition import contrast
 from .estimators import estimate, gamma_summands
 from .nuisance import EstimandId, NuisanceCache, NuisanceLearners, NuisanceSet, fit_all
 from .learners import default_binary_sl, default_continuous_sl
-from .parallel import _one_blas_thread, usable_cores
+from .parallel import fork_map, usable_cores
 from . import oracle as oracle_mod
 
 DGP_KINDS = ("sim1_meps_like", "sim2_misspec", "discrete_toy")
@@ -751,14 +751,8 @@ def run_grid(
         for n in at
         for rep in range(reps)
     ]
-    workers = min(n_jobs, len(tasks), usable_cores())
-    if workers > 1:
-        with ProcessPoolExecutor(workers, initializer=_one_blas_thread) as pool:
-            results = list(pool.map(_run_one_rep, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    else:
-        results = [_run_one_rep(t) for t in tasks]
     outcomes = [[] for _ in cells]
-    for (_, _, n, *_), result in zip(tasks, results):
+    for (_, _, n, *_), result in zip(tasks, fork_map(_run_one_rep, tasks, n_jobs)):
         for i, outcome in zip(at[n], result):
             outcomes[i].append(outcome)
     report = tuple(

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import weakref
@@ -179,6 +181,33 @@ def test_decompose_names_the_nuisance_whose_learner_fails(meps_like_csv, tmp_pat
     assert "two-part fit, positive part (1 nonzero rows): need n >= cv_folds (1 < 5)" in error
     assert error.endswith("set by superlearner.cv_folds")
     assert not (tmp_path / "out" / "decomposition.json").exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "simulate"])
+def test_a_killed_worker_exits_1_naming_the_task_and_the_signal(meps_like_csv, tmp_path, capsys, usable_cores,
+                                                                monkeypatch, command):
+    # as when the kernel kills a worker for memory: one error line, no traceback and no worker left
+    usable_cores(2)
+    parent = os.getpid()
+    fit_fold = nuisance.NuisanceCache._fit_fold
+
+    def killed_in_a_worker(self, level, v):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fit_fold(self, level, v)
+
+    monkeypatch.setattr(nuisance.NuisanceCache, "_fit_fold", killed_in_a_worker)
+    out = tmp_path / "out"
+    if command == "decompose":
+        argv = ["decompose", "--config", meps_like_csv[1], "--crossfit-folds", "2"]
+    else:
+        argv = ["simulate", "--dgp", "sim2", "--estimands", "direct", "--n", "200", "--reps", "2"]
+    assert main([*argv, "--out", str(out), "--seed", "1", "--threads", "2"]) == 1
+    (error,) = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"error: the worker running task \d+ of \d+ was killed by SIGKILL", error)
+    assert not out.exists() or not os.listdir(out)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

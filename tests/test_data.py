@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import io
 import os
 import signal
 import time
@@ -272,6 +273,47 @@ def test_a_quoted_newline_across_a_block_edge_reads_as_the_row_reader(tmp_path, 
     assert_same_load(str(path), ())
 
 
+LINE_ENDS = {"lone_cr": ["\r"], "mixed": ["\r", "\r\n", "\n"]}
+
+
+@pytest.mark.parametrize("cores, block_bytes", LAYOUTS)
+@pytest.mark.parametrize("ends", sorted(LINE_ENDS))
+def test_a_lone_cr_file_scans_in_blocks_and_loads_as_the_row_reader(tmp_path, ranged, ends, cores, block_bytes):
+    # each block ends on the next line end of either kind, and no CRLF is
+    # split between two blocks
+    ranged(cores, block_bytes)
+    cycle = LINE_ENDS[ends]
+    text = "a,b\r" + "".join(f"{i}.5,{-i}e1{cycle[i % len(cycle)]}" for i in range(40))
+    path = tmp_path / "cr.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, "rb") as handle:
+        blocks = data._scan(handle, len("a,b\r"))
+    assert len(blocks) > 1 and sum(lines for _, lines in blocks) == 40
+    assert_same_load(str(path), ())
+    assert_no_child_process()
+
+
+def test_scanning_a_lone_cr_file_reads_it_about_once(tmp_path, monkeypatch):
+    # a block's end is looked for a little at a time, not by reading to the
+    # next LF, which a lone-CR file does not have
+    monkeypatch.setattr(data, "_BLOCK_BYTES", 2**14)
+    path = tmp_path / "cr.csv"
+    path.write_bytes(("a,b\r" + "".join(f"{i}.5,{-i}e1\r" for i in range(40_000))).encode("utf-8"))
+
+    class CountingFile(io.FileIO):
+        read = 0
+
+        def readinto(self, buffer):
+            count = super().readinto(buffer)
+            CountingFile.read += count or 0
+            return count
+
+    with io.BufferedReader(CountingFile(path)) as handle:
+        blocks = data._scan(handle, len("a,b\r"))
+    assert len(blocks) > 40 and sum(lines for _, lines in blocks) == 40_000
+    assert CountingFile.read < 2 * os.path.getsize(path)
+
+
 def test_ranged_load_csv_parses_the_benchmark_csv_without_the_row_reader(tmp_path, monkeypatch, ranged):
     path = tmp_path / "bench.csv"
     rows = np.random.default_rng(4).standard_normal((500, 4))
@@ -289,13 +331,12 @@ def test_ranged_load_csv_parses_the_benchmark_csv_without_the_row_reader(tmp_pat
 
 def test_a_refused_range_kills_and_reaps_the_other_workers(tmp_path, monkeypatch, ranged):
     ranged(3)
-    parent = os.getpid()
     parse_range = data._parse_range
 
-    def slow_worker(*args):
-        if os.getpid() != parent:
+    def slow_worker(part):
+        if part[1] != len("a,b\n"):  # every worker but the one that holds range 0
             time.sleep(60)
-        return parse_range(*args)
+        return parse_range(part)
 
     monkeypatch.setattr(data, "_parse_range", slow_worker)
     path = tmp_path / "refused.csv"
@@ -309,7 +350,7 @@ def test_a_refused_range_kills_and_reaps_the_other_workers(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("death", ["killed", "raises", "exit_code", "raises_here", "fork_fails"])
 def test_a_dying_range_worker_leads_to_the_row_reader(tmp_path, monkeypatch, ranged, death):
-    ranged(3)
+    ranged(1 if death == "raises_here" else 3)  # one range parses in this process
     parent = os.getpid()
     parse_range = data._parse_range
     if death == "fork_fails":
@@ -324,7 +365,7 @@ def test_a_dying_range_worker_leads_to_the_row_reader(tmp_path, monkeypatch, ran
 
         monkeypatch.setattr(os, "fork", second_fork_fails)
 
-    def dying(*args):
+    def dying(part):
         if os.getpid() != parent:
             if death == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -334,7 +375,7 @@ def test_a_dying_range_worker_leads_to_the_row_reader(tmp_path, monkeypatch, ran
                 os._exit(3)
         elif death == "raises_here":
             raise OSError("range 0")
-        return parse_range(*args)
+        return parse_range(part)
 
     calls = []
     read_rows = data._read_rows

@@ -1,8 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
 from pathshift.data import AnalysisFrame
-from pathshift import nuisance
 from pathshift.learners import LearnerSpec, SuperLearnerConfig
 from pathshift.nuisance import EstimandId, NuisanceCache, NuisanceError, NuisanceLearners, fit_all
 from pathshift.oracle import ExactNuisances, population_frame
@@ -323,13 +324,15 @@ def test_prefit_fills_the_cache_from_fold_workers(monkeypatch, usable_cores):
             assert a.g.keys() == b.g.keys() and all(np.array_equal(a.g[k], b.g[k]) for k in a.g)
             assert all(np.array_equal(qa, qb) for qa, qb in zip(a.Q, b.Q, strict=True))
         assert pooled.diagnostics() == serial.diagnostics()
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_prefit_starts_no_pool_for_one_job_one_core_or_one_task(monkeypatch, usable_cores):
-    def no_pool(*args, **kwargs):
+    def no_pool():
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(nuisance, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_pool)
     frame = small_frame(200, seed=24)
     for folds, jobs, cores in ((3, 1, 2), (3, 2, 1), (None, 2, 2)):
         usable_cores(cores)

@@ -2,8 +2,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -413,14 +411,16 @@ def test_run_grid_report_is_the_same_with_a_process_pool(usable_cores):
     pooled = run_grid(spec, n_jobs=2, **kwargs)
     assert serial.cells[0].failures == 0
     assert serial.to_json() == pooled.to_json()
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_run_grid_starts_no_pool_for_one_task(monkeypatch, usable_cores):
-    def no_pool(*args, **kwargs):
+    def no_pool():
         raise AssertionError("a pool was started for one task")
 
     usable_cores(2)
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_pool)
     report = run_grid(
         DgpSpec("sim2_misspec"), (EstimandId.direct(),), (400,), reps=1, methods=(glm_method(),), n_jobs=2
     )
@@ -467,32 +467,6 @@ def test_a_method_listed_twice_gives_two_equal_cells():
     first, second = report.cells
     assert first.to_dict() == second.to_dict()
     assert (first.reps, first.failures) == (3, 0)
-
-
-BLAS_THREADS_PROBE = """
-import ctypes, glob, os
-import numpy as np
-from pathshift.simulation import _one_blas_thread
-libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
-getter = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None) if libs else None
-if getter is None:
-    print("absent")
-else:
-    before = getter()
-    _one_blas_thread()
-    print(before, getter())
-"""
-
-
-def test_pool_initializer_pins_numpy_blas_to_one_thread():
-    # a child process, so that this process keeps its BLAS thread count
-    src = os.path.dirname(os.path.dirname(simulation.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = [sys.executable, "-c", BLAS_THREADS_PROBE]
-    out = subprocess.run(probe, env=env, capture_output=True, text=True, check=True)
-    if out.stdout.strip() == "absent":
-        pytest.skip("numpy does not ship a scipy-openblas library")
-    assert out.stdout.split() == ["2", "1"]
 
 
 def test_run_grid_records_failures_and_continues():
