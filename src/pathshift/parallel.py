@@ -1,7 +1,8 @@
 """The one way pathshift runs work in worker processes, :func:`fork_map`,
 which the CSV ranges of ``load_csv``, the nuisance trees of
-``NuisanceCache.prefit`` and the replicates of ``run_grid`` go through; and
-the heap policy of a command, which its forked workers inherit."""
+``NuisanceCache.prefit``, the replicates of ``run_grid``, the sim1 truth
+chunks and the ``cascade_mc`` blocks go through; and the heap policy of a
+command, which its forked workers inherit."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import glob
 import itertools
 import os
 import signal
-from multiprocessing.connection import Pipe, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,6 +50,8 @@ def fork_map(fn: Callable, tasks: Sequence, jobs: int) -> list:
     or a :class:`WorkerError` that names the task, is raised here."""
     if (workers := pool_size(len(tasks), jobs)) < 2:
         return [fn(task) for task in tasks]
+    from multiprocessing.connection import Pipe, wait  # here, so that a process that forks nothing never loads it
+
     results, queue, running = [None] * len(tasks), iter(range(len(tasks))), {}
     try:
         for index in itertools.islice(queue, workers):

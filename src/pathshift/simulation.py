@@ -31,7 +31,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,7 @@ from .decomposition import contrast
 from .estimators import estimate, gamma_summands
 from .nuisance import EstimandId, NuisanceCache, NuisanceLearners, NuisanceSet, fit_all
 from .learners import default_binary_sl, default_continuous_sl
-from .parallel import fork_map, usable_cores
+from .parallel import fork_map
 from . import oracle as oracle_mod
 
 DGP_KINDS = ("sim1_meps_like", "sim2_misspec", "discrete_toy")
@@ -475,9 +474,9 @@ def _chunk_values(spec: DgpSpec, settings: tuple, m: int, seed: int, chunk: int)
 def _mc_mean(spec: DgpSpec, settings: tuple, n_draws: int, seed: int) -> TruthValue:
     """Monte-Carlo mean and its SE over chunks of at most ``TRUTH_CHUNK`` draws.
 
-    Chunks run on one thread per usable core (numpy releases the GIL in the
-    bulk work); their sums are added in chunk order, so the result does not
-    depend on the thread count.
+    Each chunk is a :func:`~pathshift.parallel.fork_map` task, on one worker
+    process per usable core; its sums are added in chunk order, so the result
+    does not depend on the number of workers.
     """
     sizes = [min(TRUTH_CHUNK, n_draws - lo) for lo in range(0, n_draws, TRUTH_CHUNK)]
 
@@ -487,10 +486,9 @@ def _mc_mean(spec: DgpSpec, settings: tuple, n_draws: int, seed: int) -> TruthVa
 
     total = 0.0
     total_sq = 0.0
-    with ThreadPoolExecutor(max_workers=min(len(sizes), usable_cores())) as pool:
-        for chunk_sum, chunk_sq in pool.map(moments, range(len(sizes))):
-            total += chunk_sum
-            total_sq += chunk_sq
+    for chunk_sum, chunk_sq in fork_map(moments, range(len(sizes)), len(sizes)):
+        total += chunk_sum
+        total_sq += chunk_sq
     mean = total / n_draws
     var = max(total_sq / n_draws - mean**2, 0.0)
     return TruthValue(mean, float(np.sqrt(var / n_draws)), n_draws)

@@ -6,18 +6,18 @@ import json
 import numpy as np
 import pytest
 
-from pathshift import cli, data, oracle, parallel, simulation
+from pathshift import cli, data, parallel
 from pathshift.simulation import DgpSpec, generate
 
 
 @pytest.fixture
 def usable_cores(monkeypatch):
     """Call it with a count to make ``fork_map``'s worker count, and every
-    pathshift module that reads ``usable_cores`` (the CLI's defaults, the CSV
-    ranges and the thread lanes), see that many cores, whatever the host."""
+    pathshift module that reads ``usable_cores`` (the CLI's defaults and the
+    CSV ranges), see that many cores, whatever the host."""
 
     def set_cores(count: int) -> None:
-        for module in (cli, data, oracle, parallel, simulation):
+        for module in (cli, data, parallel):
             monkeypatch.setattr(module, "usable_cores", lambda: count)
 
     return set_cores

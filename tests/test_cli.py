@@ -19,13 +19,15 @@ from pathshift.toys import fixture_path, toy_k1
 
 def test_import_loads_no_scipy_stats():
     """The Wald CI and p-value come from scipy.special, so importing the CLI
-    pulls in neither scipy.stats nor the optimize and spatial packages it loads."""
+    pulls in neither scipy.stats nor the optimize and spatial packages it loads;
+    and multiprocessing loads only once a map forks its workers."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, pathshift.cli; print(' '.join(sys.modules))"
     loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split())
     assert "pathshift.cli" in loaded and "scipy.special" in loaded
     assert not {"scipy.stats", "scipy.optimize", "scipy.spatial"} & loaded
+    assert not [name for name in loaded if name.split(".")[0] == "multiprocessing"]
 
 
 def test_decompose_writes_reports_and_table(meps_like_csv, tmp_path, capsys):

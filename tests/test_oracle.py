@@ -1,7 +1,7 @@
 import functools
 import itertools
-import sys
-import threading
+import mmap
+import os
 
 import numpy as np
 import pytest
@@ -364,29 +364,28 @@ def test_cascade_mc_lanes_match_the_row_sampler(builder, n_draws, usable_cores):
         assert result == hexes([row_sampler(builder, mc_key(estimand, dgp), n_draws, 13)])[0], estimand.label
 
 
-def test_cascade_mc_lanes_under_a_short_switch_interval(usable_cores, monkeypatch):
-    # more cores than the cap of 2 lanes, switching threads as often as the
-    # interpreter allows: the disjoint writes of the lanes must still add up
-    # to the one-lane bytes
+def test_cascade_mc_lanes_are_worker_processes(usable_cores, monkeypatch):
+    # more cores than the cap of 2 lanes: two forked workers walk the blocks,
+    # their writes to the shared categories must add up to the one-lane
+    # bytes, and both are reaped
     dgp, estimands = toy_k4(), all_estimands(toy_k4())
+    n_draws = 2**16 + 1  # blocks of 2^15 rows from 2 lanes: 3 of them, in one chunk
     usable_cores(1)
-    one_lane = hexes(cascade_mc(dgp, estimands, 2**16 + 1, seed=3))
+    one_lane = hexes(cascade_mc(dgp, estimands, n_draws, seed=3))
     usable_cores(64)
-    threads, uniforms = set(), oracle._uniforms
+    walkers = np.frombuffer(mmap.mmap(-1, 8 * 3), dtype=np.int64)  # the process that walked each block
+    uniforms = oracle._uniforms
 
     def recording_uniforms(rng, state, position, out):
-        threads.add(threading.get_ident())
+        walkers[position % n_draws // 2**15] = os.getpid()
         uniforms(rng, state, position, out)
 
     monkeypatch.setattr(oracle, "_uniforms", recording_uniforms)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        lanes = hexes(cascade_mc(dgp, estimands, 2**16 + 1, seed=3))
-    finally:
-        sys.setswitchinterval(interval)
+    lanes = hexes(cascade_mc(dgp, estimands, n_draws, seed=3))
     assert lanes == one_lane
-    assert len(threads) > 1
+    assert 0 not in walkers and os.getpid() not in walkers and len(set(walkers)) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("builder", [toy_k1, toy_k2, toy_k4])

@@ -188,7 +188,8 @@ def test_fork_map_workers_run_one_blas_thread():
 
 
 def test_only_parallel_starts_processes():
-    """Only parallel.py forks, imports multiprocessing or names a process pool."""
+    """Only parallel.py forks, imports multiprocessing, concurrent.futures or
+    threading, or names a process or thread pool."""
     package = os.path.dirname(parallel.__file__)
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
@@ -203,5 +204,5 @@ def test_only_parallel_starts_processes():
             assert len(forks) == 1
             continue
         assert not forks, name
-        assert not [m for m in imported if m.split(".")[0] == "multiprocessing"], name
-        assert "ProcessPoolExecutor" not in names, name
+        assert not [m for m in imported if m.split(".")[0] in ("concurrent", "multiprocessing", "threading")], name
+        assert not {"ProcessPoolExecutor", "ThreadPoolExecutor"} & names, name

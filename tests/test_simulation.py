@@ -271,7 +271,7 @@ PARITY_DRAWS = (1, 16_385, 1_000_001, 2_345_679)
 
 @pytest.mark.parametrize("kind", ["sim1_meps_like"])
 @pytest.mark.parametrize("estimand", [EstimandId.mediator(2), RhoSpec.mediator(1)], ids=["mean", "contrast"])
-def test_blocked_threaded_truth_is_bit_identical_to_whole_chunk_loop(kind, estimand, monkeypatch):
+def test_blocked_threaded_truth_is_bit_identical_to_whole_chunk_loop(kind, estimand, usable_cores):
     spec = DgpSpec(kind)
     settings = _arm_settings(spec, estimand)
     chunks = {}  # (chunk id, rows) -> reference values; runs share chunk 0
@@ -293,8 +293,11 @@ def test_blocked_threaded_truth_is_bit_identical_to_whole_chunk_loop(kind, estim
     def blocked():
         return [(t.value.hex(), t.se.hex()) for t in (truth_for(spec, estimand, n, seed=11) for n in PARITY_DRAWS)]
 
+    usable_cores(2)  # a worker process per chunk, on any host
     assert blocked() == reference
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(ChildProcessError):  # every worker is reaped
+        os.waitpid(-1, os.WNOHANG)
+    usable_cores(1)
     assert blocked() == reference
 
 
